@@ -6,6 +6,11 @@ minimum of per-scale exponents rather than a regression fit, matching the
 "for all scales" quantifier shape of the definition.  A finite cloud has
 true lower dimension 0, so every report carries its window explicitly and
 must be read as a scale-window quantity.
+
+On 1-D coordinate clouds (both metrics are |x - y| there) the points are
+sorted once, whatever their storage order, and every center's count at one
+scale pair comes from the covering sweep's doubling table in O(n log n),
+with no witness parts built; other clouds solve one covering per row.
 """
 from __future__ import annotations
 
@@ -13,9 +18,11 @@ import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .cloud import PointCloud, closed_ball
 from .config import DEFAULT_BUDGET, DEFAULT_EXACT_CUTOFF, DEFAULT_TOL
-from .covering import covering_number
+from .covering import _ball_cover_counts_1d, covering_number
 
 SEMANTICS_NOTE = "scale-window estimate on a finite sample, not a limit quantity"
 
@@ -111,16 +118,15 @@ def lower_dim_estimate(cloud: PointCloud, window: ScaleWindow, mode: str = "exac
     if cloud.n == 0:
         raise ValueError("cloud must be non-empty")
     pairs = window.pairs(diam_cap=cloud.diam(), tol=tol)
+    if cloud.dim == 1:
+        counts = _counts_1d(cloud, pairs, tol)
+    else:
+        counts = _counts_generic(cloud, pairs, mode, tol, exact_cutoff)
     table: List[Tuple[int, float, float, int, float]] = []
     best: Optional[float] = None
     argmin: Optional[Tuple[int, float, float]] = None
-    for center in range(cloud.n):
-        ball_cache: dict = {}
-        for R, r in pairs:
-            if R not in ball_cache:
-                ball_cache[R] = closed_ball(cloud, center, R, tol)
-            count = covering_number(ball_cache[R], r, mode="exact" if mode == "exact" else "greedy",
-                                    tol=tol, exact_cutoff=exact_cutoff).count
+    for center, row in enumerate(counts):
+        for (R, r), count in zip(pairs, row):
             exponent = math.log(count) / math.log(R / r)
             table.append((center, R, r, count, exponent))
             if best is None or exponent < best:
@@ -129,6 +135,36 @@ def lower_dim_estimate(cloud: PointCloud, window: ScaleWindow, mode: str = "exac
     if best is None:
         return EstimateReport(0.0, None, [], window, mode)
     return EstimateReport(best, argmin, table, window, mode)
+
+
+def _counts_1d(cloud: PointCloud, pairs: List[Tuple[float, float]],
+               tol: float) -> List[List[int]]:
+    """Exact N_r(B(x, R)) per center (in cloud order) and pair, on a 1-D cloud.
+
+    The 1-D sweep is optimal at any size, so both modes get exact counts.
+    """
+    order = np.argsort(cloud.coords[:, 0], kind="stable")
+    x = cloud.coords[order, 0]
+    counts = np.empty((cloud.n, len(pairs)), dtype=np.int64)
+    for p, (R, r) in enumerate(pairs):
+        counts[order, p] = _ball_cover_counts_1d(x, R, r, tol)
+    return counts.tolist()
+
+
+def _counts_generic(cloud: PointCloud, pairs: List[Tuple[float, float]], mode: str,
+                    tol: float, exact_cutoff: int) -> List[List[int]]:
+    """N_r(B(x, R)) per center and pair, one covering solve per row."""
+    counts = []
+    for center in range(cloud.n):
+        ball_cache: dict = {}
+        row = []
+        for R, r in pairs:
+            if R not in ball_cache:
+                ball_cache[R] = closed_ball(cloud, center, R, tol)
+            row.append(covering_number(ball_cache[R], r, mode=mode, tol=tol,
+                                       exact_cutoff=exact_cutoff).count)
+        counts.append(row)
+    return counts
 
 
 def dimension_bound(k: int, l: int) -> float:

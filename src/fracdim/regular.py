@@ -28,7 +28,7 @@ import numpy as np
 
 from .cloud import PointCloud, Subset, closed_ball
 from .config import DEFAULT_BUDGET, DEFAULT_EXACT_CUTOFF, DEFAULT_TOL
-from .covering import (_separated_lower_bound, covering_number,
+from .covering import (_ball_cover_counts_1d, _separated_lower_bound, covering_number,
                        _greedy_cover_parts)
 
 Label = Tuple[int, ...]
@@ -387,7 +387,7 @@ def level_points(family: RegularFamily, n: int, cloud: PointCloud) -> Subset:
 def _cover_count_lower_bound(subset: Subset, r: float, tol: float,
                              exact_cutoff: int) -> int:
     """A certified lower bound on the covering number of ``subset`` at ``r``."""
-    if subset.cloud.sorted_1d or len(subset) <= exact_cutoff:
+    if len(subset) <= exact_cutoff:
         return covering_number(subset, r, mode="exact", tol=tol,
                                exact_cutoff=exact_cutoff).count
     # Points pairwise farther than r + tol must land in distinct parts.
@@ -404,12 +404,16 @@ def certificate_scaling_check(cloud: PointCloud, family: RegularFamily,
     least l^m parts of diameter r to cover its deepest-level points.  Each
     bracket is probed at its two representable extremes; counts are
     lower-bounded by certified quantities only, never by greedy covers.
+    On sorted 1-D clouds a ball meets the sorted deepest level in a
+    contiguous run, so every probe's exact count comes from the covering
+    sweep's doubling table.
     """
     report = verify_regular(cloud, family, tol)
     if not report.ok:
         raise ValueError("certificate_scaling_check requires a verified family")
     k, l, depth = family.k, family.l, family.depth
     deepest = level_points(family, depth, cloud)
+    coords = deepest.coords_1d() if cloud.sorted_1d else None
     for n in range(1, depth):
         for m in range(0, depth - n):
             rep_pairs = (
@@ -417,6 +421,11 @@ def certificate_scaling_check(cloud: PointCloud, family: RegularFamily,
                 (2.0 ** (-k * (n - 1) + 1), 2.0 ** (-k * (n + m + 1) + 1)),  # outer corner
             )
             needed = l ** m
+            if cloud.sorted_1d:
+                if any(int(_ball_cover_counts_1d(coords, R, r, tol).min()) < needed
+                       for R, r in rep_pairs):
+                    return False
+                continue
             for x in deepest.indices:
                 for R, r in rep_pairs:
                     ball = closed_ball(cloud, int(x), R, tol)

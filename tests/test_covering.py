@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from fracdim import (PointCloud, cantor_cloud, covering_number,
+from fracdim import (PointCloud, Subset, cantor_cloud, covering_number,
                      maximal_separated_family, packing_number, validate_cover,
                      validate_packing)
+from fracdim.covering import _sweep_cover_counts, _sweep_cover_parts
 from oracles import (certified_cover_count_1d, exact_cover_oracle,
                      exact_pack_oracle, random_metric_cloud)
 
@@ -139,6 +142,33 @@ class TestOracleAgreement:
             b = covering_number(generic_cloud.all_indices(), r, mode="exact").count
             assert a == b == exact_cover_oracle(dmat, r)
             assert a == certified_cover_count_1d(coords, r)
+
+
+class TestSweepCoverCounts:
+    """Doubling-table counts against the sweep's parts and the certified 1-D oracle."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.integers(0, 255), min_size=1, max_size=24, unique=True),
+           st.integers(1, 64))
+    @example([7], 1)                      # n = 1
+    @example([0, 4, 8, 12, 20, 21], 4)    # gaps exactly equal to r
+    @example(list(range(0, 64, 2)), 2)    # every gap equal to r: the longest jump chain
+    def test_every_contiguous_range(self, slots, r_slots):
+        # multiples of 2^-6 keep every sum exact, so gaps can equal r exactly
+        x = np.sort(np.asarray(slots, dtype=float)) / 64.0
+        r = r_slots / 64.0
+        cloud = PointCloud(x)
+        lo, hi = np.triu_indices(x.size + 1)   # every lo <= hi, empty and single-point ranges too
+        counts = _sweep_cover_counts(x, r, lo, hi, TOL)
+        assert counts.shape == lo.shape
+        for a, b, count in zip(lo, hi, counts):
+            parts = _sweep_cover_parts(Subset(cloud, np.arange(a, b)), r, TOL)
+            assert count == len(parts) == certified_cover_count_1d(x[a:b], r)
+
+    def test_gap_within_tol_joins_one_part(self):
+        x = np.array([0.0, 0.1 + 0.2])   # 0.30000000000000004, within tol of r
+        counts = _sweep_cover_counts(x, 0.3, [0], [2], TOL)
+        assert counts.tolist() == [1] == [certified_cover_count_1d(x, 0.3)]
 
 
 class TestProperties:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracdim import (PointCloud, ScaleWindow, cantor_cloud, dimension_bound,
                      dyadic_interval_cloud, interval_plus_point_cloud,
@@ -98,6 +100,39 @@ class TestEstimator:
         rep = lower_dim_estimate(cloud, ScaleWindow(2.0 ** -3, 2.0 ** -1))
         same = [row for row in rep.table if row[4] == rep.alpha_hat]
         assert rep.argmin[0] == min(row[0] for row in same)
+
+
+class TestOneDimensionalPath:
+    """The 1-D doubling-table path against branch-and-bound and storage order."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.integers(0, 127), min_size=2, max_size=16, unique=True))
+    def test_matches_matrix_branch_and_bound(self, slots):
+        # dyadic coordinates in storage order as drawn; at most 16 points
+        # keeps every ball within the branch-and-bound cutoff
+        x = np.asarray(slots, dtype=float) / 128.0
+        w = ScaleWindow(2.0 ** -5, 2.0 ** -1)
+        line = lower_dim_estimate(PointCloud(x), w)
+        matrix = lower_dim_estimate(PointCloud.from_matrix(np.abs(x[:, None] - x[None, :])), w)
+        assert line.table == matrix.table
+        assert line.alpha_hat == matrix.alpha_hat
+        assert line.argmin == matrix.argmin
+        order = np.argsort(x)
+        ascending = lower_dim_estimate(PointCloud(x[order]), w)
+        assert ascending.alpha_hat == line.alpha_hat
+        relabeled = sorted((int(order[row[0]]),) + row[1:] for row in ascending.table)
+        assert relabeled == sorted(line.table)
+
+    def test_reversed_ladder_matches_ascending(self):
+        # balls of radius 2^-1 hold up to 40 points, above the 20-point
+        # branch-and-bound cutoff that unsorted 1-D clouds used to hit
+        w = ScaleWindow(2.0 ** -6, 2.0 ** -1)
+        ascending = lower_dim_estimate(PointCloud(np.arange(40)[:, None] / 40), w)
+        reversed_ = lower_dim_estimate(PointCloud(np.arange(40)[::-1, None] / 40), w)
+        assert reversed_.alpha_hat == ascending.alpha_hat
+        assert len(reversed_.table) == len(ascending.table) > 0
+        assert sorted((39 - c, R, r, n, e) for (c, R, r, n, e) in reversed_.table) \
+            == sorted(ascending.table)
 
 
 class TestDimensionBound:

@@ -213,6 +213,14 @@ class TestLevelPoints:
             level_points(fam, 1, grid11)
 
 
+def _matrix_scaling_check(cloud, fam, tol):
+    """The scaling check on the same points as an explicit matrix (branch-and-bound path)."""
+    x = cloud.coords[:, 0]
+    matrix = PointCloud.from_matrix(np.abs(x[:, None] - x[None, :]))
+    deepest = len(level_points(fam, fam.depth, cloud))
+    return certificate_scaling_check(matrix, fam, tol=tol, exact_cutoff=deepest)
+
+
 class TestScalingCheck:
     def test_depth_one_vacuous(self, grid11):
         fam = RegularFamily(2, 2, 1, False, {(): 5, (0,): 0, (1,): 10})
@@ -227,6 +235,24 @@ class TestScalingCheck:
     def test_deep_polarized_family(self):
         cloud, fam = polarized_natural_family(4)
         assert certificate_scaling_check(cloud, fam) is True
+
+    # A coarse tol widens every cover part until the chain breaks, so both
+    # verdicts are compared; at depth 3 with tol 1/4 some probe's count
+    # equals l^m exactly.
+    @pytest.mark.parametrize("depth,tol,verdict", [
+        (2, TOL, True), (3, TOL, True), (4, TOL, True), (5, TOL, True),
+        (3, 0.25, True), (4, 0.1, False), (5, 0.03, False)])
+    def test_sorted_1d_matches_matrix_polarized(self, depth, tol, verdict):
+        cloud, fam = polarized_natural_family(depth)
+        assert certificate_scaling_check(cloud, fam, tol=tol) is verdict
+        assert _matrix_scaling_check(cloud, fam, tol) is verdict
+
+    @pytest.mark.parametrize("k,l,depth", [(4, 4, 2), (3, 2, 3)])
+    def test_sorted_1d_matches_matrix_grid(self, k, l, depth):
+        cloud = dyadic_interval_cloud(8)
+        fam = search_regular(cloud, k, l, depth, strong=True).family
+        assert certificate_scaling_check(cloud, fam) is True
+        assert _matrix_scaling_check(cloud, fam, TOL) is True
 
     def test_unverified_family_refused(self, grid11):
         fam = RegularFamily(2, 2, 1, False, {(): 5, (0,): 5, (1,): 5})
