@@ -2,8 +2,18 @@
 
 A cloud is an immutable finite metric space given either by coordinate
 points under a named metric (``euclidean`` or ``l1``) or by an explicit
-distance matrix.  All operations here are pure functions; nothing mutates
-shared state, so concurrent use is safe.
+distance matrix.
+
+Every distance the package computes comes from one kernel,
+:func:`_distance_block`, so a comparison against ``r + tol`` gives the same
+answer wherever it is made.  A coordinate cloud with n^2 <= ``_DENSE_CAP``
+(n <= 2,896, at most 64 MB) builds its full distance matrix on first use
+and keeps it; matrix clouds use their own matrix.  Above the cap, rows are
+recomputed on each request.  Coordinates, the stored matrix, the cached
+matrix and every returned row are read-only, so no caller can corrupt the
+cloud through a view.  The caches (diameter and distance matrix) are built
+once from immutable inputs and rebuilding them gives the same values, so
+concurrent use is safe.
 """
 from __future__ import annotations
 
@@ -19,7 +29,14 @@ METRICS = COORDINATE_METRICS + ("matrix",)
 
 # Explicit matrices are triangle-checked exhaustively up to this size,
 # by deterministic sampling (10*n triples) above it.
-_TRIANGLE_EXHAUSTIVE_LIMIT = 200
+_TRIANGLE_EXHAUSTIVE_LIMIT = 500
+
+# Coordinate clouds keep a dense distance matrix while n^2 stays within this
+# many entries (64 MB of float64); larger clouds recompute rows.
+_DENSE_CAP = 2 ** 23
+
+# The distance kernel's temporaries hold at most about this many float64 (1 MB).
+_BLOCK_ELEMENTS = 2 ** 17
 
 
 class PointCloud:
@@ -41,11 +58,13 @@ class PointCloud:
         self.meta = dict(meta) if meta else {}
         self._tol = float(tol)
         self._diam: Optional[float] = None
+        self._dense: Optional[np.ndarray] = None
         if metric == "matrix":
             if matrix is None:
                 raise ValueError("matrix mode requires a distance matrix")
             self.coords = None
-            self.matrix = _validated_matrix(np.asarray(matrix, dtype=float), tol)
+            self.matrix = _validated_matrix(np.array(matrix, dtype=float), tol)
+            self.matrix.setflags(write=False)
             self.n = self.matrix.shape[0]
         else:
             if points is None:
@@ -53,6 +72,7 @@ class PointCloud:
             if matrix is not None:
                 raise ValueError("matrix only allowed with metric='matrix'")
             self.coords = _validated_coords(points)
+            self.coords.setflags(write=False)
             self.matrix = None
             self.n = self.coords.shape[0]
         self._sorted_1d = (
@@ -78,35 +98,59 @@ class PointCloud:
         """
         return self._sorted_1d
 
-    def distances_from(self, i: int) -> np.ndarray:
-        """Vector of distances from point ``i`` to every point."""
-        self._check_index(i)
+    def dense(self) -> Optional[np.ndarray]:
+        """The read-only n x n distance matrix, or None above ``_DENSE_CAP``.
+
+        Matrix clouds return their own matrix; coordinate clouds build it on
+        first use.
+        """
         if self.matrix is not None:
-            return self.matrix[i]
-        diff = self.coords - self.coords[i]
-        if self.metric == "euclidean":
-            if self.coords.shape[1] == 1:
-                return np.abs(diff[:, 0])
-            return np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        return np.abs(diff).sum(axis=1)
+            return self.matrix
+        if self._dense is None and self.n * self.n <= _DENSE_CAP:
+            dense = _distance_block(self.coords, self.coords, self.metric)
+            dense.setflags(write=False)
+            self._dense = dense
+        return self._dense
+
+    def distances_from(self, i: int) -> np.ndarray:
+        """Read-only vector of distances from point ``i`` to every point."""
+        self._check_index(i)
+        dense = self.dense()
+        if dense is not None:
+            return dense[i]
+        row = _distance_block(self.coords[i:i + 1], self.coords, self.metric)[0]
+        row.setflags(write=False)
+        return row
+
+    def pairwise(self, idx, cols=None) -> np.ndarray:
+        """Distances from the points ``idx`` to the points ``cols`` (default
+        ``idx``), rows and columns in the given orders."""
+        idx = np.asarray(idx, dtype=np.int64)
+        cols = idx if cols is None else np.asarray(cols, dtype=np.int64)
+        dense = self.dense()
+        if dense is not None:
+            return dense[idx][:, cols]
+        return _distance_block(self.coords[idx], self.coords[cols], self.metric)
 
     def distance(self, i: int, j: int) -> float:
-        self._check_index(i)
         self._check_index(j)
-        if self.matrix is not None:
-            return float(self.matrix[i, j])
         return float(self.distances_from(i)[j])
+
+    def _row_blocks(self):
+        """The full distance matrix as (first row, block of rows) pairs."""
+        dense = self.dense()
+        if dense is not None:
+            return [(0, dense)]
+        return _distance_blocks(self.coords, self.coords, self.metric)
 
     def diam(self) -> float:
         if self._diam is None:
             if self.n <= 1:
                 self._diam = 0.0
-            elif self.matrix is not None:
-                self._diam = float(self.matrix.max())
             elif self.sorted_1d:
                 self._diam = float(self.coords[-1, 0] - self.coords[0, 0])
             else:
-                self._diam = max(float(self.distances_from(i).max()) for i in range(self.n))
+                self._diam = max(float(block.max()) for _, block in self._row_blocks())
         return self._diam
 
     def all_indices(self) -> "Subset":
@@ -122,9 +166,9 @@ class PointCloud:
         if self.sorted_1d:
             return float(np.diff(self.coords[:, 0]).min())
         best = np.inf
-        for i in range(self.n - 1):
-            row = self.distances_from(i)[i + 1:]
-            best = min(best, float(row.min()))
+        for start, block in self._row_blocks():
+            upper = np.arange(self.n) > np.arange(start, start + len(block))[:, None]
+            best = min(best, float(block.min(initial=np.inf, where=upper)))
         return best
 
     def _check_index(self, i: int) -> None:
@@ -167,8 +211,41 @@ class Subset:
         return f"Subset({len(self)} of {self.cloud.n})"
 
 
+def _distance_block(a: np.ndarray, b: np.ndarray, metric: str) -> np.ndarray:
+    """Distances from every row of ``a`` to every row of ``b`` under a coordinate metric.
+
+    The one distance kernel of the package.  The (rows, len(b), d) difference
+    temporary is kept near ``_BLOCK_ELEMENTS`` entries by working through
+    ``a`` a few rows at a time.  Each entry is computed on its own coordinate
+    differences, so it does not depend on the blocking or on which other
+    points are in ``a`` and ``b``, and the result is symmetric bit for bit
+    when ``a`` is ``b``.
+    """
+    d = a.shape[1]
+    rows = max(1, _BLOCK_ELEMENTS // (len(b) * d))
+    out = np.empty((len(a), len(b)))
+    for start in range(0, len(a), rows):
+        diff = a[start:start + rows, None, :] - b[None, :, :]
+        if metric == "euclidean":
+            if d == 1:
+                out[start:start + rows] = np.abs(diff[..., 0])
+            else:
+                out[start:start + rows] = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+        else:
+            out[start:start + rows] = np.abs(diff).sum(axis=2)
+    return out
+
+
+def _distance_blocks(a: np.ndarray, b: np.ndarray, metric: str):
+    """``_distance_block(a, b, metric)`` as (first row, block) pairs of about
+    ``_BLOCK_ELEMENTS`` entries each, for scans that need not hold it whole."""
+    rows = max(1, _BLOCK_ELEMENTS // len(b))
+    for start in range(0, len(a), rows):
+        yield start, _distance_block(a[start:start + rows], b, metric)
+
+
 def _validated_coords(points) -> np.ndarray:
-    arr = np.asarray(points, dtype=float)
+    arr = np.array(points, dtype=float)
     if arr.ndim == 1:
         arr = arr[:, None]
     if arr.ndim != 2 or arr.shape[0] == 0:
@@ -228,7 +305,7 @@ def diameter(cloud: PointCloud, subset: Optional[Subset] = None) -> float:
     if cloud.sorted_1d:
         c = subset.coords_1d()
         return float(c[-1] - c[0])
-    return max(float(cloud.distances_from(int(i))[idx].max()) for i in idx[:-1])
+    return float(cloud.pairwise(idx).max())
 
 
 def closed_ball(cloud: PointCloud, center: int, radius: float,
@@ -255,16 +332,8 @@ def _directed_hausdorff(a: PointCloud, b: PointCloud) -> float:
         left = np.abs(xs - ys[pos - 1]) if ys.size > 1 else np.abs(xs - ys[0])
         right = np.abs(xs - ys[pos]) if ys.size > 1 else left
         return float(np.minimum(left, right).max())
-    worst = 0.0
-    chunk = 256
-    for start in range(0, a.n, chunk):
-        block = a.coords[start:start + chunk]
-        if a.metric == "euclidean":
-            d = np.sqrt(((block[:, None, :] - b.coords[None, :, :]) ** 2).sum(axis=2))
-        else:
-            d = np.abs(block[:, None, :] - b.coords[None, :, :]).sum(axis=2)
-        worst = max(worst, float(d.min(axis=1).max()))
-    return worst
+    return max(float(block.min(axis=1).max())
+               for _, block in _distance_blocks(a.coords, b.coords, a.metric))
 
 
 def hausdorff_distance(a: PointCloud, b: PointCloud) -> float:

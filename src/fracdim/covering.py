@@ -13,8 +13,12 @@ instead: the sweep's jump ``i -> next_r[i]`` is composed with itself
 every center's ball) come out in one vectorized pass of O(log n) steps,
 O(n log n) per scale, with no parts built.
 
-Greedy modes always pick the lowest-index candidate first, so witnesses are
-reproducible across runs and platforms.
+The greedy cover works on the boolean compatibility matrix of the subset,
+``pairwise <= r + tol``: each part starts at the lowest uncovered index and
+takes, in index order, every uncovered point compatible with all members so
+far.  Callers that need only a count take ``len`` of its index arrays and
+build no ``Subset``.  Greedy modes always pick the lowest-index candidate
+first, so witnesses are reproducible across runs and platforms.
 """
 from __future__ import annotations
 
@@ -23,7 +27,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .cloud import Subset
+from .cloud import _BLOCK_ELEMENTS, PointCloud, Subset
 from .config import DEFAULT_EXACT_CUTOFF, DEFAULT_TOL
 
 
@@ -97,39 +101,53 @@ def _ball_cover_counts_1d(x: np.ndarray, R: float, r: float, tol: float) -> np.n
     return _sweep_cover_counts(x, r, lo, hi, tol)
 
 
-def _sweep_pack(subset: Subset, sep: float, tol: float,
-                seed_pos: int = 0) -> np.ndarray:
-    """Greedy sweep packing from position ``seed_pos``; optimal for seed 0."""
-    coords = subset.coords_1d()
-    idx = subset.indices
-    chosen = [seed_pos]
-    pos = seed_pos
+def _sweep_pack(coords: np.ndarray, sep: float, tol: float) -> np.ndarray:
+    """Positions of the leftmost-first sep-separated family in non-empty, strictly
+    increasing ``coords``; the family is maximum (no larger one exists)."""
+    chosen = [0]
+    pos = 0
     while True:
-        nxt = int(np.searchsorted(coords, coords[pos] + sep - tol, side="left"))
-        if nxt >= idx.size:
-            break
-        chosen.append(nxt)
-        pos = nxt
-    return idx[np.asarray(chosen, dtype=np.int64)]
+        pos = int(np.searchsorted(coords, coords[pos] + sep - tol, side="left"))
+        if pos >= coords.size:
+            return np.asarray(chosen, dtype=np.int64)
+        chosen.append(pos)
 
 
-def _greedy_cover_parts(subset: Subset, r: float, tol: float) -> List[np.ndarray]:
-    """Extract maximal diameter-<=r parts, each seeded at the lowest uncovered index."""
-    cloud = subset.cloud
-    remaining = subset.indices.copy()
-    parts = []
-    while remaining.size:
-        drow = cloud.distances_from(int(remaining[0]))[remaining]
-        member = np.zeros(remaining.size, dtype=bool)
-        member[0] = True
-        maxd = drow
-        for t in range(1, remaining.size):
-            if maxd[t] <= r + tol:
-                member[t] = True
-                maxd = np.maximum(maxd, cloud.distances_from(int(remaining[t]))[remaining])
-        parts.append(remaining[member])
-        remaining = remaining[~member]
-    return parts
+def _greedy_cover_parts(cloud: PointCloud, idx: np.ndarray, r: float,
+                        tol: float) -> List[np.ndarray]:
+    """Maximal diameter-<=r parts of the sorted points ``idx``, each seeded at
+    the lowest uncovered index and grown by the lowest compatible ones.
+
+    Row t of the compatibility matrix is held as a Python integer whose bit u
+    is set when positions t and u are within ``r + tol``, so intersecting
+    with a member's row and finding the next member are single integer
+    operations.  The rows are built a block at a time, so no distance matrix
+    of the whole subset is held.
+    """
+    rows = []
+    step = max(1, _BLOCK_ELEMENTS // max(1, idx.size))
+    for start in range(0, idx.size, step):
+        compat = np.packbits(cloud.pairwise(idx[start:start + step], idx) <= r + tol,
+                             axis=1, bitorder="little")
+        width = compat.shape[1]
+        data = compat.tobytes()
+        rows += [int.from_bytes(data[t * width:(t + 1) * width], "little")
+                 for t in range(len(compat))]
+    uncovered = (1 << idx.size) - 1
+    members = []    # positions of every part's members, part after part
+    ends = [0]
+    while uncovered:
+        # allowed: uncovered points after the last member, compatible with every member
+        allowed = uncovered
+        while allowed:
+            low = allowed & -allowed
+            t = low.bit_length() - 1
+            members.append(t)
+            uncovered ^= low
+            allowed = (allowed ^ low) & rows[t]
+        ends.append(len(members))
+    flat = idx[members]
+    return [flat[a:b] for a, b in zip(ends, ends[1:])]
 
 
 def _greedy_pack_indices(subset: Subset, sep: float, tol: float,
@@ -173,14 +191,10 @@ def _bb_min_clique_cover(subset: Subset, r: float, tol: float) -> List[np.ndarra
     if m == 0:
         return []
     cloud = subset.cloud
-    dmat = np.empty((m, m))
-    for a in range(m):
-        dmat[a] = cloud.distances_from(int(idx[a]))[idx]
-    compat = dmat <= r + tol
+    compat = cloud.pairwise(idx) <= r + tol
 
-    best_parts = [list(p) for p in
-                  ([np.flatnonzero(np.isin(idx, part)) for part in _greedy_cover_parts(subset, r, tol)])]
-    best_parts = [[int(v) for v in p] for p in best_parts]
+    best_parts = [[int(v) for v in np.searchsorted(idx, part)]
+                  for part in _greedy_cover_parts(cloud, idx, r, tol)]
     best = len(best_parts)
     lb = len(_separated_lower_bound(subset, r, tol))
     if best == lb:
@@ -218,10 +232,7 @@ def _bb_max_separated(subset: Subset, sep: float, tol: float) -> np.ndarray:
     m = idx.size
     if m == 0:
         return idx.copy()
-    cloud = subset.cloud
-    ok = np.empty((m, m), dtype=bool)
-    for a in range(m):
-        ok[a] = cloud.distances_from(int(idx[a]))[idx] >= sep - tol
+    ok = subset.cloud.pairwise(idx) >= sep - tol
     np.fill_diagonal(ok, False)
 
     best_set: List[int] = []
@@ -268,7 +279,7 @@ def covering_number(subset: Subset, r: float, mode: str = "auto",
                 f"exact covering requested on {len(subset)} points, cutoff {exact_cutoff}")
         parts = _bb_min_clique_cover(subset, r, tol)
         return CoverResult(len(parts), [Subset(cloud, p) for p in parts], True)
-    parts = _greedy_cover_parts(subset, r, tol)
+    parts = _greedy_cover_parts(cloud, subset.indices, r, tol)
     return CoverResult(len(parts), [Subset(cloud, p) for p in parts], False)
 
 
@@ -288,7 +299,7 @@ def packing_number(subset: Subset, sep: float, mode: str = "greedy",
     if len(subset) == 0:
         return PackResult(0, Subset(cloud, np.empty(0, dtype=np.int64)), True)
     if cloud.sorted_1d:
-        wit = _sweep_pack(subset, sep, tol)
+        wit = subset.indices[_sweep_pack(subset.coords_1d(), sep, tol)]
         return PackResult(len(wit), Subset(cloud, wit), True)
     if mode == "exact":
         if len(subset) > exact_cutoff:
@@ -330,9 +341,5 @@ def validate_packing(result: PackResult, sep: float, tol: float = DEFAULT_TOL) -
     idx = result.witnesses.indices
     if result.count != idx.size:
         return False
-    cloud = result.witnesses.cloud
-    for a in range(idx.size - 1):
-        row = cloud.distances_from(int(idx[a]))[idx[a + 1:]]
-        if np.any(row < sep - tol):
-            return False
-    return True
+    close = result.witnesses.cloud.pairwise(idx) < sep - tol
+    return not np.triu(close, k=1).any()

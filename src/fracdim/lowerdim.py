@@ -10,7 +10,9 @@ must be read as a scale-window quantity.
 On 1-D coordinate clouds (both metrics are |x - y| there) the points are
 sorted once, whatever their storage order, and every center's count at one
 scale pair comes from the covering sweep's doubling table in O(n log n),
-with no witness parts built; other clouds solve one covering per row.
+with no witness parts built.  Other clouds solve one covering per row on
+balls cut from the cloud's distance rows; greedy rows only count the greedy
+cover's parts and build no witness objects.
 """
 from __future__ import annotations
 
@@ -20,9 +22,9 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .cloud import PointCloud, closed_ball
+from .cloud import PointCloud, Subset
 from .config import DEFAULT_BUDGET, DEFAULT_EXACT_CUTOFF, DEFAULT_TOL
-from .covering import _ball_cover_counts_1d, covering_number
+from .covering import _ball_cover_counts_1d, _greedy_cover_parts, covering_number
 
 SEMANTICS_NOTE = "scale-window estimate on a finite sample, not a limit quantity"
 
@@ -153,16 +155,25 @@ def _counts_1d(cloud: PointCloud, pairs: List[Tuple[float, float]],
 
 def _counts_generic(cloud: PointCloud, pairs: List[Tuple[float, float]], mode: str,
                     tol: float, exact_cutoff: int) -> List[List[int]]:
-    """N_r(B(x, R)) per center and pair, one covering solve per row."""
+    """N_r(B(x, R)) per center and pair, one covering solve per row.
+
+    A ball is every point within ``R + tol`` of the center, as in
+    :func:`fracdim.cloud.closed_ball`.
+    """
+    dense = cloud.dense()
     counts = []
     for center in range(cloud.n):
-        ball_cache: dict = {}
+        dist = dense[center] if dense is not None else cloud.distances_from(center)
+        balls: dict = {}
         row = []
         for R, r in pairs:
-            if R not in ball_cache:
-                ball_cache[R] = closed_ball(cloud, center, R, tol)
-            row.append(covering_number(ball_cache[R], r, mode=mode, tol=tol,
-                                       exact_cutoff=exact_cutoff).count)
+            if R not in balls:
+                balls[R] = np.flatnonzero(dist <= R + tol)
+            if mode == "greedy":
+                row.append(len(_greedy_cover_parts(cloud, balls[R], r, tol)))
+            else:
+                row.append(covering_number(Subset(cloud, balls[R]), r, mode=mode, tol=tol,
+                                           exact_cutoff=exact_cutoff).count)
         counts.append(row)
     return counts
 

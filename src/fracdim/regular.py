@@ -28,8 +28,8 @@ import numpy as np
 
 from .cloud import PointCloud, Subset, closed_ball
 from .config import DEFAULT_BUDGET, DEFAULT_EXACT_CUTOFF, DEFAULT_TOL
-from .covering import (_ball_cover_counts_1d, _separated_lower_bound, covering_number,
-                       _greedy_cover_parts)
+from .covering import (_ball_cover_counts_1d, _greedy_cover_parts, _separated_lower_bound,
+                       _sweep_pack, covering_number)
 
 Label = Tuple[int, ...]
 
@@ -123,16 +123,6 @@ class RegularityReport:
         return {"ok": self.ok, "violations": [v.to_dict() for v in self.violations]}
 
 
-def _pairwise_distances(cloud: PointCloud, idx: np.ndarray) -> np.ndarray:
-    if cloud.matrix is not None:
-        return cloud.matrix[np.ix_(idx, idx)]
-    sub = cloud.coords[idx]
-    diff = sub[:, None, :] - sub[None, :, :]
-    if cloud.metric == "euclidean":
-        return np.sqrt((diff ** 2).sum(axis=2))
-    return np.abs(diff).sum(axis=2)
-
-
 def verify_regular(cloud: PointCloud, family: RegularFamily,
                    tol: float = DEFAULT_TOL) -> RegularityReport:
     """Check the regularity definition directly; report every violation.
@@ -158,7 +148,7 @@ def verify_regular(cloud: PointCloud, family: RegularFamily,
         labs = family.labels_at(n)
         idx = np.asarray([family.assign[s] for s in labs], dtype=np.int64)
         req = level_separation(family.k, n)
-        dmat = _pairwise_distances(cloud, idx)
+        dmat = cloud.pairwise(idx)
         bad = np.argwhere(np.triu(dmat < req - tol, k=1))
         for a, b in bad:
             violations.append(Violation("sep", labs[a], labs[b], float(dmat[a, b]), req))
@@ -213,19 +203,12 @@ class _Search:
         if m <= 1:
             return m
         if self.cloud.sorted_1d:
-            coords = self.cloud.coords[indices, 0]
-            count = 0
-            pos = 0
-            while pos < m:
-                count += 1
-                pos = int(np.searchsorted(coords, coords[pos] + sep - self.tol, side="left"))
-            return count
+            return len(_sweep_pack(self.cloud.coords[indices, 0], sep, self.tol))
         # Any cover by parts of diameter < sep admits at most one separated
         # point per part, so a greedy cover count bounds the packing.
         if sep <= 3 * self.tol:
             return m
-        sub = Subset(self.cloud, indices)
-        return len(_greedy_cover_parts(sub, sep - 3 * self.tol, self.tol))
+        return len(_greedy_cover_parts(self.cloud, indices, sep - 3 * self.tol, self.tol))
 
     def _is_plausible(self, point: int, level: int, rest: int) -> bool:
         """One-step lookahead: necessary condition for a feasible subtree."""

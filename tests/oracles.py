@@ -123,3 +123,41 @@ def random_metric_cloud(rng: np.random.Generator, n: int, dim: int):
     np.fill_diagonal(dmat, 0.0)
     dmat = np.minimum(dmat, dmat.T)
     return dmat
+
+
+def distance_row_oracle(coords: np.ndarray, i: int, metric: str) -> np.ndarray:
+    """Distances from point ``i`` to every point, one difference row at a time.
+
+    This is the per-row arithmetic the cloud's block kernel must reproduce
+    bit for bit: ``abs`` for 1-D euclidean, ``sqrt(einsum("ij,ij->i"))`` for
+    euclidean, ``abs().sum(axis=1)`` for l1.
+    """
+    coords = np.asarray(coords, dtype=float)
+    diff = coords - coords[i]
+    if metric == "euclidean":
+        if coords.shape[1] == 1:
+            return np.abs(diff[:, 0])
+        return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    return np.abs(diff).sum(axis=1)
+
+
+def greedy_cover_oracle(dmat: np.ndarray, r: float, tol: float = 1e-12) -> list:
+    """Lowest-index greedy cover by a row-by-row scan, parts as position arrays.
+
+    Each part starts at the first remaining position; a later remaining
+    position joins when its largest distance to the part so far is at most
+    ``r + tol``.
+    """
+    remaining = np.arange(dmat.shape[0])
+    parts = []
+    while remaining.size:
+        maxd = dmat[remaining[0], remaining]
+        member = np.zeros(remaining.size, dtype=bool)
+        member[0] = True
+        for t in range(1, remaining.size):
+            if maxd[t] <= r + tol:
+                member[t] = True
+                maxd = np.maximum(maxd, dmat[remaining[t], remaining])
+        parts.append(remaining[member])
+        remaining = remaining[~member]
+    return parts

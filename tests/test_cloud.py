@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fracdim.cloud as cloud_module
 from fracdim import (PointCloud, closed_ball, diameter, distance,
                      hausdorff_distance, interval_plus_point_cloud)
-from oracles import brute_hausdorff
+from oracles import brute_hausdorff, distance_row_oracle
 
 TOL = 1e-12
 
@@ -159,16 +160,86 @@ class TestConstruction:
         with pytest.raises(ValueError, match="triangle"):
             PointCloud.from_matrix(bad)
 
+    def test_matrix_triangle_exhaustive_300(self):
+        rng = np.random.default_rng(5)
+        pts = rng.uniform(size=(300, 2))
+        diff = pts[:, None] - pts[None, :]
+        dmat = np.sqrt((diff ** 2).sum(axis=2))
+        np.fill_diagonal(dmat, 0.0)
+        dmat = np.minimum(dmat, dmat.T)
+        assert PointCloud.from_matrix(dmat).n == 300
+        dmat[0, 1] += 5.0
+        dmat[1, 0] += 5.0
+        with pytest.raises(ValueError, match="triangle"):
+            PointCloud.from_matrix(dmat)
+
     def test_matrix_sampled_above_limit(self):
         rng = np.random.default_rng(4)
-        pts = rng.uniform(size=(250, 1))
+        pts = rng.uniform(size=(600, 1))
         dmat = np.abs(pts - pts.T)
         np.fill_diagonal(dmat, 0.0)
         dmat = np.minimum(dmat, dmat.T)
-        assert PointCloud.from_matrix(dmat).n == 250
+        assert PointCloud.from_matrix(dmat).n == 600
 
     def test_subset_validation(self, grid11):
         with pytest.raises(IndexError):
             grid11.subset([0, 99])
         sub = grid11.subset([5, 2, 2, 9])
         assert list(sub.indices) == [2, 5, 9]
+
+
+def _above_cap(monkeypatch, cloud):
+    """Lower the dense cap so that ``cloud`` recomputes its rows."""
+    monkeypatch.setattr(cloud_module, "_DENSE_CAP", cloud.n * cloud.n - 1)
+    assert cloud.dense() is None
+
+
+class TestDistanceLayer:
+    """The dense cache, row recomputation and submatrices against per-row arithmetic."""
+
+    @pytest.mark.parametrize("metric", ["euclidean", "l1"])
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 9, 50])
+    def test_dense_and_rows_match_per_row_arithmetic(self, monkeypatch, d, metric):
+        rng = np.random.default_rng(d)
+        # 301 points: not a multiple of the kernel's block rows for any d here
+        coords = rng.normal(size=(301, d)) * rng.uniform(0.1, 100.0)
+        expected = np.stack([distance_row_oracle(coords, i, metric) for i in range(301)])
+        cloud = PointCloud(coords, metric=metric)
+        assert np.array_equal(cloud.dense(), expected)
+        for i in (0, 150, 300):
+            assert np.array_equal(cloud.distances_from(i), expected[i])
+        idx = np.array([299, 3, 3, 77])
+        assert np.array_equal(cloud.pairwise(idx), expected[np.ix_(idx, idx)])
+        diam, gap = cloud.diam(), cloud.min_positive_gap()
+
+        fresh = PointCloud(coords, metric=metric)
+        _above_cap(monkeypatch, fresh)
+        for i in (0, 150, 300):
+            assert np.array_equal(fresh.distances_from(i), expected[i])
+        assert np.array_equal(fresh.pairwise(idx), expected[np.ix_(idx, idx)])
+        assert fresh.diam() == diam == expected.max()
+        assert fresh.min_positive_gap() == gap == expected[np.triu_indices(301, 1)].min()
+
+    def test_rows_are_read_only(self, monkeypatch):
+        dmat = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+        small = PointCloud([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
+        big = PointCloud([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
+        assert small.dense() is not None     # built before the cap is lowered
+        _above_cap(monkeypatch, big)
+        for cloud in (PointCloud.from_matrix(dmat), small, big):
+            row = cloud.distances_from(0)
+            with pytest.raises(ValueError):
+                row[1] = 99.0
+            assert cloud.distance(0, 1) == 1.0
+        with pytest.raises(ValueError):
+            small.dense()[0, 1] = 99.0
+        with pytest.raises(ValueError):
+            small.coords[0, 0] = 99.0
+
+    def test_inputs_are_copied(self):
+        dmat = np.array([[0.0, 1.0], [1.0, 0.0]])
+        pts = np.array([[0.0, 0.0], [3.0, 4.0]])
+        matrix_cloud, coord_cloud = PointCloud.from_matrix(dmat), PointCloud(pts)
+        dmat[0, 1] = pts[1, 0] = 7.0      # the caller's arrays stay writable
+        assert matrix_cloud.distance(0, 1) == 1.0
+        assert coord_cloud.distance(0, 1) == 5.0

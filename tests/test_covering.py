@@ -3,12 +3,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fracdim.covering as covering_module
 from fracdim import (PointCloud, Subset, cantor_cloud, covering_number,
                      maximal_separated_family, packing_number, validate_cover,
                      validate_packing)
-from fracdim.covering import _sweep_cover_counts, _sweep_cover_parts
-from oracles import (certified_cover_count_1d, exact_cover_oracle,
-                     exact_pack_oracle, random_metric_cloud)
+from fracdim.covering import _greedy_cover_parts, _sweep_cover_counts, _sweep_cover_parts
+from oracles import (certified_cover_count_1d, distance_row_oracle, exact_cover_oracle,
+                     exact_pack_oracle, greedy_cover_oracle, random_metric_cloud)
 
 TOL = 1e-12
 
@@ -169,6 +170,42 @@ class TestSweepCoverCounts:
         x = np.array([0.0, 0.1 + 0.2])   # 0.30000000000000004, within tol of r
         counts = _sweep_cover_counts(x, 0.3, [0], [2], TOL)
         assert counts.tolist() == [1] == [certified_cover_count_1d(x, 0.3)]
+
+
+class TestGreedyCoverParts:
+    """The bitset scan of the compatibility matrix against the row-by-row greedy scan."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, 15 * 16 + 15), min_size=1, max_size=90, unique=True),
+           st.sampled_from(["euclidean", "l1"]), st.integers(1, 12), st.data())
+    @example([0, 3, 4, 64, 67], "euclidean", 5, None)   # 3-4-5 triangles: distances exactly r
+    def test_parts_match_oracle(self, cells, metric, r_steps, data):
+        # a 16 x 16 grid of spacing 1/8: l1 distances and 3-4-5 euclidean
+        # distances are exact, so many land exactly on r
+        coords = np.array([[c // 16, c % 16] for c in cells], dtype=float) / 8.0
+        cloud = PointCloud(coords, metric=metric)
+        r = r_steps / 8.0
+        if data is None:
+            keep = list(range(len(cells)))
+        else:
+            keep = data.draw(st.lists(st.sampled_from(range(len(cells))), min_size=1,
+                                      unique=True))
+        idx = np.asarray(sorted(keep), dtype=np.int64)
+        dmat = np.stack([distance_row_oracle(coords, i, metric) for i in range(len(cells))])
+        expected = [idx[p].tolist() for p in greedy_cover_oracle(dmat[np.ix_(idx, idx)], r, TOL)]
+        assert [p.tolist() for p in _greedy_cover_parts(cloud, idx, r, TOL)] == expected
+
+    @pytest.mark.parametrize("block", [None, 100, 1000])
+    def test_matrix_cloud_and_empty_subset(self, monkeypatch, block):
+        if block is not None:   # compatibility rows built 1 and 14 at a time
+            monkeypatch.setattr(covering_module, "_BLOCK_ELEMENTS", block)
+        dmat = random_metric_cloud(np.random.default_rng(21), 70, 3)
+        cloud = PointCloud.from_matrix(dmat)
+        for r in (0.1, 0.3, 0.6):
+            expected = [p.tolist() for p in greedy_cover_oracle(dmat, r, TOL)]
+            got = _greedy_cover_parts(cloud, np.arange(70), r, TOL)
+            assert [p.tolist() for p in got] == expected
+        assert _greedy_cover_parts(cloud, np.empty(0, dtype=np.int64), 0.1, TOL) == []
 
 
 class TestProperties:

@@ -89,6 +89,29 @@ class TestEstimator:
         greedy = lower_dim_estimate(cloud, w, mode="greedy")
         assert exact.alpha_hat <= greedy.alpha_hat + 1e-12
 
+    def test_greedy_table_frozen(self):
+        # 24 points of the 32 x 32 dyadic grid; counts frozen from the
+        # row-by-row greedy scan that preceded the bitset kernel
+        rng = np.random.default_rng(9)
+        cells = rng.choice(32 * 32, size=24, replace=False)
+        pts = np.stack([cells // 32, cells % 32], axis=1) / 32.0
+        rep = lower_dim_estimate(PointCloud(pts), ScaleWindow(1 / 32, 1 / 2), mode="greedy")
+        pairs = [(0.5, 0.03125), (0.5, 0.0625), (0.5, 0.125),
+                 (0.25, 0.03125), (0.25, 0.0625), (0.125, 0.03125)]
+        frozen = [
+            [11, 10, 8, 4, 4, 1], [8, 8, 6, 3, 3, 2], [10, 9, 7, 6, 5, 2],
+            [10, 10, 8, 5, 5, 1], [7, 7, 6, 3, 3, 2], [8, 7, 5, 4, 3, 2],
+            [11, 10, 8, 6, 5, 3], [14, 13, 10, 5, 5, 2], [10, 10, 8, 4, 4, 1],
+            [10, 10, 9, 3, 3, 1], [13, 13, 11, 1, 1, 1], [7, 7, 6, 3, 3, 2],
+            [12, 12, 9, 4, 4, 1], [3, 3, 3, 1, 1, 1], [6, 6, 6, 2, 2, 1],
+            [8, 7, 5, 4, 3, 3], [11, 10, 8, 7, 6, 2], [9, 8, 6, 1, 1, 1],
+            [13, 12, 10, 6, 6, 2], [8, 8, 7, 3, 3, 1], [5, 5, 5, 1, 1, 1],
+            [6, 6, 6, 2, 2, 1], [9, 9, 8, 2, 2, 1], [6, 6, 6, 2, 2, 1],
+        ]
+        assert [(c, R, r, n) for c, R, r, n, _ in rep.table] == [
+            (c, R, r, n) for c, row in enumerate(frozen) for (R, r), n in zip(pairs, row)]
+        assert rep.alpha_hat == 0.0 and rep.argmin == (0, 0.125, 0.03125)
+
     def test_shrinking_window_raises_estimate(self):
         cloud = dyadic_interval_cloud(6)
         wide = lower_dim_estimate(cloud, ScaleWindow(2.0 ** -5, 2.0 ** -1))
