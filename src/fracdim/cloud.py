@@ -5,15 +5,22 @@ points under a named metric (``euclidean`` or ``l1``) or by an explicit
 distance matrix.
 
 Every distance the package computes comes from one kernel,
-:func:`_distance_block`, so a comparison against ``r + tol`` gives the same
-answer wherever it is made.  A coordinate cloud with n^2 <= ``_DENSE_CAP``
-(n <= 2,896, at most 64 MB) builds its full distance matrix on first use
-and keeps it; matrix clouds use their own matrix.  Above the cap, rows are
-recomputed on each request.  Coordinates, the stored matrix, the cached
-matrix and every returned row are read-only, so no caller can corrupt the
-cloud through a view.  The caches (diameter and distance matrix) are built
-once from immutable inputs and rebuilding them gives the same values, so
-concurrent use is safe.
+:func:`_distance_blocks`, so a comparison against ``r + tol`` gives the
+same answer wherever it is made.  A coordinate cloud with
+n^2 <= ``_DENSE_CAP`` (n <= 2,896, at most 64 MB) builds its full distance
+matrix the first time rows are asked for (:meth:`PointCloud.dense`,
+``distances_from``, ``pairwise``) and keeps it; matrix clouds use their own
+matrix.  Above the cap, rows are recomputed on each request.  One-pass
+scans (diameters, the smallest gap, packing checks, greedy compatibility
+rows, single distances) read the matrix when it is there and otherwise
+recompute a block of rows at a time, so they never build it and never hold
+more than one block.  The cap was chosen from memory, not from a measured
+crossover: no benchmark workload has a generic cloud near or above it.
+
+Coordinates, the stored matrix, the cached matrix and every returned row
+are read-only, so no caller can corrupt the cloud through a view.  The
+caches (diameter and distance matrix) are built once from immutable inputs
+and rebuilding them gives the same values, so concurrent use is safe.
 """
 from __future__ import annotations
 
@@ -35,7 +42,8 @@ _TRIANGLE_EXHAUSTIVE_LIMIT = 500
 # many entries (64 MB of float64); larger clouds recompute rows.
 _DENSE_CAP = 2 ** 23
 
-# The distance kernel's temporaries hold at most about this many float64 (1 MB).
+# A block of the distance kernel holds at most about this many float64 (1 MB)
+# in its coordinate-difference temporary.
 _BLOCK_ELEMENTS = 2 ** 17
 
 
@@ -65,6 +73,7 @@ class PointCloud:
             self.coords = None
             self.matrix = _validated_matrix(np.array(matrix, dtype=float), tol)
             self.matrix.setflags(write=False)
+            self._dense = self.matrix
             self.n = self.matrix.shape[0]
         else:
             if points is None:
@@ -102,10 +111,8 @@ class PointCloud:
         """The read-only n x n distance matrix, or None above ``_DENSE_CAP``.
 
         Matrix clouds return their own matrix; coordinate clouds build it on
-        first use.
+        first call.
         """
-        if self.matrix is not None:
-            return self.matrix
         if self._dense is None and self.n * self.n <= _DENSE_CAP:
             dense = _distance_block(self.coords, self.coords, self.metric)
             dense.setflags(write=False)
@@ -118,9 +125,9 @@ class PointCloud:
         dense = self.dense()
         if dense is not None:
             return dense[i]
-        row = _distance_block(self.coords[i:i + 1], self.coords, self.metric)[0]
-        row.setflags(write=False)
-        return row
+        _, block = next(_distance_blocks(self.coords[i:i + 1], self.coords, self.metric))
+        block.setflags(write=False)
+        return block[0]
 
     def pairwise(self, idx, cols=None) -> np.ndarray:
         """Distances from the points ``idx`` to the points ``cols`` (default
@@ -129,19 +136,33 @@ class PointCloud:
         cols = idx if cols is None else np.asarray(cols, dtype=np.int64)
         dense = self.dense()
         if dense is not None:
-            return dense[idx][:, cols]
+            return dense[np.ix_(idx, cols)]
         return _distance_block(self.coords[idx], self.coords[cols], self.metric)
 
     def distance(self, i: int, j: int) -> float:
+        self._check_index(i)
         self._check_index(j)
-        return float(self.distances_from(i)[j])
+        if self._dense is not None:
+            return float(self._dense[i, j])
+        return float(_distance_block(self.coords[i:i + 1], self.coords[j:j + 1],
+                                     self.metric)[0, 0])
 
-    def _row_blocks(self):
-        """The full distance matrix as (first row, block of rows) pairs."""
-        dense = self.dense()
-        if dense is not None:
-            return [(0, dense)]
-        return _distance_blocks(self.coords, self.coords, self.metric)
+    def _blocks(self, idx=None, cols=None):
+        """Distances from the points ``idx`` (default all) to the points
+        ``cols`` (default ``idx``) as (first row, block of rows) pairs.
+
+        Blocks are sliced from the distance matrix when it is already there
+        and recomputed otherwise; either way one block holds about
+        ``_BLOCK_ELEMENTS`` entries, and the matrix is never built here.
+        """
+        idx = np.arange(self.n) if idx is None else np.asarray(idx, dtype=np.int64)
+        cols = idx if cols is None else np.asarray(cols, dtype=np.int64)
+        if self._dense is None:
+            yield from _distance_blocks(self.coords[idx], self.coords[cols], self.metric)
+            return
+        rows = max(1, _BLOCK_ELEMENTS // max(1, cols.size))
+        for start in range(0, idx.size, rows):
+            yield start, self._dense[np.ix_(idx[start:start + rows], cols)]
 
     def diam(self) -> float:
         if self._diam is None:
@@ -150,7 +171,7 @@ class PointCloud:
             elif self.sorted_1d:
                 self._diam = float(self.coords[-1, 0] - self.coords[0, 0])
             else:
-                self._diam = max(float(block.max()) for _, block in self._row_blocks())
+                self._diam = max(float(block.max()) for _, block in self._blocks())
         return self._diam
 
     def all_indices(self) -> "Subset":
@@ -165,11 +186,8 @@ class PointCloud:
             return 0.0
         if self.sorted_1d:
             return float(np.diff(self.coords[:, 0]).min())
-        best = np.inf
-        for start, block in self._row_blocks():
-            upper = np.arange(self.n) > np.arange(start, start + len(block))[:, None]
-            best = min(best, float(block.min(initial=np.inf, where=upper)))
-        return best
+        return min(float(block.min(initial=np.inf, where=_upper(start, block)))
+                   for start, block in self._blocks())
 
     def _check_index(self, i: int) -> None:
         if not 0 <= int(i) < self.n:
@@ -211,37 +229,41 @@ class Subset:
         return f"Subset({len(self)} of {self.cloud.n})"
 
 
-def _distance_block(a: np.ndarray, b: np.ndarray, metric: str) -> np.ndarray:
-    """Distances from every row of ``a`` to every row of ``b`` under a coordinate metric.
+def _distance_blocks(a: np.ndarray, b: np.ndarray, metric: str):
+    """Distances from every row of ``a`` to every row of ``b`` under a
+    coordinate metric, as (first row, block of rows) pairs.
 
-    The one distance kernel of the package.  The (rows, len(b), d) difference
-    temporary is kept near ``_BLOCK_ELEMENTS`` entries by working through
-    ``a`` a few rows at a time.  Each entry is computed on its own coordinate
-    differences, so it does not depend on the blocking or on which other
-    points are in ``a`` and ``b``, and the result is symmetric bit for bit
-    when ``a`` is ``b``.
+    The one distance kernel of the package.  Each block's (rows, len(b), d)
+    difference temporary holds about ``_BLOCK_ELEMENTS`` entries.  Each
+    entry is computed on its own coordinate differences, so it does not
+    depend on the blocking or on which other points are in ``a`` and ``b``,
+    and the result is symmetric bit for bit when ``a`` is ``b``.
     """
     d = a.shape[1]
-    rows = max(1, _BLOCK_ELEMENTS // (len(b) * d))
-    out = np.empty((len(a), len(b)))
+    rows = max(1, _BLOCK_ELEMENTS // max(1, len(b) * d))
     for start in range(0, len(a), rows):
         diff = a[start:start + rows, None, :] - b[None, :, :]
-        if metric == "euclidean":
-            if d == 1:
-                out[start:start + rows] = np.abs(diff[..., 0])
-            else:
-                out[start:start + rows] = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+        if metric == "euclidean" and d == 1:
+            block = np.abs(diff[..., 0])
+        elif metric == "euclidean":
+            block = np.einsum("ijk,ijk->ij", diff, diff)
+            np.sqrt(block, out=block)
         else:
-            out[start:start + rows] = np.abs(diff).sum(axis=2)
+            block = np.abs(diff, out=diff).sum(axis=2)
+        yield start, block
+
+
+def _distance_block(a: np.ndarray, b: np.ndarray, metric: str) -> np.ndarray:
+    """All of :func:`_distance_blocks` as one len(a) x len(b) matrix."""
+    out = np.empty((len(a), len(b)))
+    for start, block in _distance_blocks(a, b, metric):
+        out[start:start + len(block)] = block
     return out
 
 
-def _distance_blocks(a: np.ndarray, b: np.ndarray, metric: str):
-    """``_distance_block(a, b, metric)`` as (first row, block) pairs of about
-    ``_BLOCK_ELEMENTS`` entries each, for scans that need not hold it whole."""
-    rows = max(1, _BLOCK_ELEMENTS // len(b))
-    for start in range(0, len(a), rows):
-        yield start, _distance_block(a[start:start + rows], b, metric)
+def _upper(start: int, block: np.ndarray) -> np.ndarray:
+    """Mask of the entries of ``block`` (rows from ``start`` on) above the diagonal."""
+    return np.arange(block.shape[1]) > np.arange(start, start + len(block))[:, None]
 
 
 def _validated_coords(points) -> np.ndarray:
@@ -305,7 +327,7 @@ def diameter(cloud: PointCloud, subset: Optional[Subset] = None) -> float:
     if cloud.sorted_1d:
         c = subset.coords_1d()
         return float(c[-1] - c[0])
-    return float(cloud.pairwise(idx).max())
+    return max(float(block.max()) for _, block in cloud._blocks(idx))
 
 
 def closed_ball(cloud: PointCloud, center: int, radius: float,

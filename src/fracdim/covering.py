@@ -13,12 +13,14 @@ instead: the sweep's jump ``i -> next_r[i]`` is composed with itself
 every center's ball) come out in one vectorized pass of O(log n) steps,
 O(n log n) per scale, with no parts built.
 
-The greedy cover works on the boolean compatibility matrix of the subset,
-``pairwise <= r + tol``: each part starts at the lowest uncovered index and
-takes, in index order, every uncovered point compatible with all members so
-far.  Callers that need only a count take ``len`` of its index arrays and
-build no ``Subset``.  Greedy modes always pick the lowest-index candidate
-first, so witnesses are reproducible across runs and platforms.
+The greedy cover works on the compatibility relation ``distance <= r + tol``:
+each part starts at the lowest uncovered index and takes, in index order,
+every uncovered point compatible with all members so far.  Subsets of up
+to 2,896 points hold the relation as one bitset per row (at most 1 MB);
+larger ones compute each new member's distances to the part's remaining
+candidates only.  Callers that need only a count take ``len`` of its index
+arrays and build no ``Subset``.  Greedy modes always pick the lowest-index
+candidate first, so witnesses are reproducible across runs and platforms.
 """
 from __future__ import annotations
 
@@ -27,7 +29,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from .cloud import _BLOCK_ELEMENTS, PointCloud, Subset
+from . import cloud as _cloud
+from .cloud import PointCloud, Subset, _upper
 from .config import DEFAULT_EXACT_CUTOFF, DEFAULT_TOL
 
 
@@ -113,32 +116,36 @@ def _sweep_pack(coords: np.ndarray, sep: float, tol: float) -> np.ndarray:
         chosen.append(pos)
 
 
+def _bit_rows(mask: np.ndarray) -> List[int]:
+    """Each row of a boolean matrix as a Python integer whose bit u is column u."""
+    packed = np.packbits(mask, axis=1, bitorder="little")
+    width = packed.shape[1]
+    data = packed.tobytes()
+    return [int.from_bytes(data[t * width:(t + 1) * width], "little")
+            for t in range(len(packed))]
+
+
 def _greedy_cover_parts(cloud: PointCloud, idx: np.ndarray, r: float,
                         tol: float) -> List[np.ndarray]:
     """Maximal diameter-<=r parts of the sorted points ``idx``, each seeded at
     the lowest uncovered index and grown by the lowest compatible ones.
 
-    Row t of the compatibility matrix is held as a Python integer whose bit u
-    is set when positions t and u are within ``r + tol``, so intersecting
-    with a member's row and finding the next member are single integer
-    operations.  The rows are built a block at a time, so no distance matrix
-    of the whole subset is held.
+    A part's candidates are the uncovered points after its last member that
+    are within ``r + tol`` of every member; the lowest one joins next.
+    While m^2 <= ``_DENSE_CAP`` (m <= 2,896 points) the whole compatibility
+    matrix is built up front, one Python-integer bitset per row (at most
+    1 MB), so each step is a few integer operations.  A larger subset
+    instead computes, for each new member, its distances to the remaining
+    candidates only: O(m) memory and no distance matrix.
     """
-    rows = []
-    step = max(1, _BLOCK_ELEMENTS // max(1, idx.size))
-    for start in range(0, idx.size, step):
-        compat = np.packbits(cloud.pairwise(idx[start:start + step], idx) <= r + tol,
-                             axis=1, bitorder="little")
-        width = compat.shape[1]
-        data = compat.tobytes()
-        rows += [int.from_bytes(data[t * width:(t + 1) * width], "little")
-                 for t in range(len(compat))]
+    if idx.size * idx.size > _cloud._DENSE_CAP:
+        return _greedy_parts_by_candidates(cloud, idx, r + tol)
+    rows = [row for _, block in cloud._blocks(idx) for row in _bit_rows(block <= r + tol)]
     uncovered = (1 << idx.size) - 1
     members = []    # positions of every part's members, part after part
     ends = [0]
     while uncovered:
-        # allowed: uncovered points after the last member, compatible with every member
-        allowed = uncovered
+        allowed = uncovered     # the part's candidates, as bits
         while allowed:
             low = allowed & -allowed
             t = low.bit_length() - 1
@@ -148,6 +155,23 @@ def _greedy_cover_parts(cloud: PointCloud, idx: np.ndarray, r: float,
         ends.append(len(members))
     flat = idx[members]
     return [flat[a:b] for a, b in zip(ends, ends[1:])]
+
+
+def _greedy_parts_by_candidates(cloud: PointCloud, idx: np.ndarray,
+                                 reach: float) -> List[np.ndarray]:
+    """:func:`_greedy_cover_parts` with the candidates as a position array."""
+    uncovered = np.ones(idx.size, dtype=bool)
+    parts = []
+    while uncovered.any():
+        cand = np.flatnonzero(uncovered)
+        members = []
+        while cand.size:
+            t, cand = cand[0], cand[1:]
+            members.append(t)
+            cand = cand[cloud.pairwise(idx[t:t + 1], idx[cand])[0] <= reach]
+        uncovered[members] = False
+        parts.append(idx[members])
+    return parts
 
 
 def _greedy_pack_indices(subset: Subset, sep: float, tol: float,
@@ -341,5 +365,5 @@ def validate_packing(result: PackResult, sep: float, tol: float = DEFAULT_TOL) -
     idx = result.witnesses.indices
     if result.count != idx.size:
         return False
-    close = result.witnesses.cloud.pairwise(idx) < sep - tol
-    return not np.triu(close, k=1).any()
+    return not any(np.any((block < sep - tol) & _upper(start, block))
+                   for start, block in result.witnesses.cloud._blocks(idx))

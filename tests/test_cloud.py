@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 import fracdim.cloud as cloud_module
 from fracdim import (PointCloud, closed_ball, diameter, distance,
-                     hausdorff_distance, interval_plus_point_cloud)
+                     hausdorff_distance, interval_plus_point_cloud, validate_packing)
+from fracdim.covering import PackResult
 from oracles import brute_hausdorff, distance_row_oracle
 
 TOL = 1e-12
@@ -219,6 +220,40 @@ class TestDistanceLayer:
         assert np.array_equal(fresh.pairwise(idx), expected[np.ix_(idx, idx)])
         assert fresh.diam() == diam == expected.max()
         assert fresh.min_positive_gap() == gap == expected[np.triu_indices(301, 1)].min()
+
+    @pytest.mark.parametrize("lowered_cap", [False, True])
+    def test_scans_hold_one_block(self, monkeypatch, lowered_cap):
+        rng = np.random.default_rng(8)
+        coords = rng.normal(size=(301, 3))
+        expected = np.stack([distance_row_oracle(coords, i, "euclidean") for i in range(301)])
+        cloud = PointCloud(coords)
+        if lowered_cap:
+            _above_cap(monkeypatch, cloud)
+        monkeypatch.setattr(cloud_module, "_BLOCK_ELEMENTS", 7 * 301 * 3)  # 7 full rows
+        kernel, sizes = cloud_module._distance_blocks, []
+
+        def recording_kernel(a, b, metric):
+            for start, block in kernel(a, b, metric):
+                sizes.append(block.size)
+                yield start, block
+
+        def no_pairwise(*args):
+            raise AssertionError("a scan asked for a whole submatrix")
+
+        monkeypatch.setattr(cloud_module, "_distance_blocks", recording_kernel)
+        monkeypatch.setattr(PointCloud, "pairwise", no_pairwise)
+        idx = np.arange(0, 301, 2)
+        sub = cloud.subset(idx)
+        assert diameter(cloud, sub) == expected[np.ix_(idx, idx)].max()
+        assert cloud.diam() == expected.max()
+        assert cloud.min_positive_gap() == expected[np.triu_indices(301, 1)].min()
+        assert cloud.distance(3, 7) == expected[3, 7]
+        sep = expected[np.ix_(idx, idx)][np.triu_indices(idx.size, 1)].min()
+        pack = PackResult(idx.size, sub, False)
+        assert validate_packing(pack, sep, tol=0.0)
+        assert not validate_packing(pack, np.nextafter(sep, np.inf), tol=0.0)
+        assert cloud._dense is None          # no scan built the matrix
+        assert sizes and max(sizes) <= 7 * 301
 
     def test_rows_are_read_only(self, monkeypatch):
         dmat = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])

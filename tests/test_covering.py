@@ -1,9 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import fracdim.covering as covering_module
+import fracdim.cloud as cloud_module
 from fracdim import (PointCloud, Subset, cantor_cloud, covering_number,
                      maximal_separated_family, packing_number, validate_cover,
                      validate_packing)
@@ -194,11 +196,16 @@ class TestGreedyCoverParts:
         dmat = np.stack([distance_row_oracle(coords, i, metric) for i in range(len(cells))])
         expected = [idx[p].tolist() for p in greedy_cover_oracle(dmat[np.ix_(idx, idx)], r, TOL)]
         assert [p.tolist() for p in _greedy_cover_parts(cloud, idx, r, TOL)] == expected
+        with mock.patch.object(cloud_module, "_DENSE_CAP", 0):   # the candidate scan
+            assert [p.tolist() for p in _greedy_cover_parts(cloud, idx, r, TOL)] == expected
 
-    @pytest.mark.parametrize("block", [None, 100, 1000])
-    def test_matrix_cloud_and_empty_subset(self, monkeypatch, block):
+    @pytest.mark.parametrize("block, cap", [(None, None), (100, None), (1000, None),
+                                            (None, 69 * 69)])
+    def test_matrix_cloud_and_empty_subset(self, monkeypatch, block, cap):
         if block is not None:   # compatibility rows built 1 and 14 at a time
-            monkeypatch.setattr(covering_module, "_BLOCK_ELEMENTS", block)
+            monkeypatch.setattr(cloud_module, "_BLOCK_ELEMENTS", block)
+        if cap is not None:     # 70 points: each row built when its point joins a part
+            monkeypatch.setattr(cloud_module, "_DENSE_CAP", cap)
         dmat = random_metric_cloud(np.random.default_rng(21), 70, 3)
         cloud = PointCloud.from_matrix(dmat)
         for r in (0.1, 0.3, 0.6):
@@ -206,6 +213,21 @@ class TestGreedyCoverParts:
             got = _greedy_cover_parts(cloud, np.arange(70), r, TOL)
             assert [p.tolist() for p in got] == expected
         assert _greedy_cover_parts(cloud, np.empty(0, dtype=np.int64), 0.1, TOL) == []
+
+    @pytest.mark.parametrize("metric", ["euclidean", "l1"])
+    def test_coordinate_cloud_above_cap(self, monkeypatch, metric):
+        # the whole dyadic 16 x 16 grid, with the cap just below its 256 points
+        monkeypatch.setattr(cloud_module, "_DENSE_CAP", 255 * 255)
+        coords = np.array([[c // 16, c % 16] for c in range(256)], dtype=float) / 8.0
+        cloud = PointCloud(coords, metric=metric)
+        dmat = np.stack([distance_row_oracle(coords, i, metric) for i in range(256)])
+        sub = cloud.all_indices()
+        for r in (0.125, 0.5, 0.625):
+            expected = [p.tolist() for p in greedy_cover_oracle(dmat, r, TOL)]
+            res = covering_number(sub, r, mode="greedy")
+            assert [p.indices.tolist() for p in res.parts] == expected
+            assert validate_cover(sub, res, r)
+        assert cloud.dense() is None
 
 
 class TestProperties:
