@@ -14,8 +14,7 @@ from typing import Optional
 
 from . import io
 from .config import RunConfig
-from .generators import (cantor_cloud, dyadic_interval_cloud,
-                         interval_plus_point_cloud, polarized_example_cloud)
+from .generators import GeneratorSpec
 from .lowerdim import ScaleWindow, dimension_bound, lower_dim_estimate
 from .regular import certificate_scaling_check, search_regular, verify_regular
 from .trees import embed_tree, max_regular_depth
@@ -101,25 +100,12 @@ def _cmd_generate(args, cfg: RunConfig) -> int:
     if args.kind == "from-spec":
         if args.spec is None:
             raise _UsageError("from-spec requires --spec")
-        from .generators import GeneratorSpec
         with open(args.spec, "r", encoding="utf-8") as fh:
-            cloud = GeneratorSpec.from_dict(json.load(fh)).build()
-    elif args.kind == "cantor":
-        if args.level is None:
-            raise _UsageError("cantor requires --level")
-        cloud = cantor_cloud(args.level)
-    elif args.kind == "dyadic-grid":
-        if args.resolution is None:
-            raise _UsageError("dyadic-grid requires --resolution")
-        cloud = dyadic_interval_cloud(args.resolution)
-    elif args.kind == "interval-plus-point":
-        if args.resolution is None:
-            raise _UsageError("interval-plus-point requires --resolution")
-        cloud = interval_plus_point_cloud(args.resolution)
+            spec = GeneratorSpec.from_dict(json.load(fh))
     else:
-        if args.depth is None:
-            raise _UsageError("polarized requires --depth")
-        cloud = polarized_example_cloud(args.depth)
+        spec = GeneratorSpec(args.kind, level=args.level, resolution=args.resolution,
+                             depth=args.depth)
+    cloud = spec.build()
     io.write_cloud(cloud, args.out)
     _emit({"kind": args.kind, "points": cloud.n, "diameter": cloud.diam(),
            "out": args.out})

@@ -166,12 +166,7 @@ class PointCloud:
 
     def diam(self) -> float:
         if self._diam is None:
-            if self.n <= 1:
-                self._diam = 0.0
-            elif self.sorted_1d:
-                self._diam = float(self.coords[-1, 0] - self.coords[0, 0])
-            else:
-                self._diam = max(float(block.max()) for _, block in self._blocks())
+            self._diam = diameter(self, self.all_indices())
         return self._diam
 
     def all_indices(self) -> "Subset":

@@ -19,6 +19,35 @@ DEFAULT_BUDGET = 100_000
 
 CONFIG_ENV_VAR = "FRACDIM_CONFIG"
 
+# Checks of values read from JSON files, keyed by what an error calls them.
+_JSON_CHECKS = {
+    "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "a number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "a boolean": lambda v: isinstance(v, bool),
+    "a string": lambda v: isinstance(v, str),
+    "a string or null": lambda v: v is None or isinstance(v, str),
+    "an object": lambda v: isinstance(v, dict),
+    "a list of two": lambda v: isinstance(v, list) and len(v) == 2,
+}
+
+
+def _checked_object(data, what: str, fields: dict, required=()) -> dict:
+    """A copy of ``data``, which must be a JSON object with every key of
+    ``required`` and no key outside ``fields``, each value passing the check
+    that ``fields`` names for its key; otherwise ValueError."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    unknown = set(data) - set(fields)
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+    missing = [key for key in required if key not in data]
+    if missing:
+        raise ValueError(f"{what} needs {', '.join(missing)}")
+    for key, value in data.items():
+        if not _JSON_CHECKS[fields[key]](value):
+            raise ValueError(f"{what} field {key!r} must be {fields[key]}")
+    return dict(data)
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -43,15 +72,10 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
+        fields = {"tol": "a number", "exact_cutoff": "an integer", "budget": "an integer",
+                  "output": "a string or null"}
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        if not isinstance(data, dict):
-            raise ValueError("config file must hold a JSON object")
-        known = {k: data[k] for k in ("tol", "exact_cutoff", "budget", "output") if k in data}
-        unknown = set(data) - {"tol", "exact_cutoff", "budget", "output"}
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**known)
+            return cls(**_checked_object(json.load(fh), "config", fields))
 
     @classmethod
     def resolve(cls, config_path: str | None = None, **overrides) -> "RunConfig":

@@ -13,24 +13,25 @@ instead: the sweep's jump ``i -> next_r[i]`` is composed with itself
 every center's ball) come out in one vectorized pass of O(log n) steps,
 O(n log n) per scale, with no parts built.
 
-The greedy cover works on the compatibility relation ``distance <= r + tol``:
-each part starts at the lowest uncovered index and takes, in index order,
-every uncovered point compatible with all members so far.  Subsets of up
-to 2,896 points hold the relation as one bitset per row (at most 1 MB);
-larger ones compute each new member's distances to the part's remaining
-candidates only.  Callers that need only a count take ``len`` of its index
-arrays and build no ``Subset``.  Greedy modes always pick the lowest-index
-candidate first, so witnesses are reproducible across runs and platforms.
+One greedy scan serves three jobs: each part starts at the first uncovered
+point and takes, in scan order, every uncovered point related to all
+members so far.  Under ``d <= r + tol`` the parts are the greedy cover; the
+first part under ``d > r + tol`` is a separated family (a certified lower
+bound on the covering number); the first part under ``d >= sep - tol`` is
+the greedy packing.  Subsets of up to 2,896 points hold the relation as one
+bitset per row; larger ones compute each new member's distances to the
+remaining candidates only.  Count-only callers build no ``Subset``, and
+witnesses are reproducible across runs and platforms.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
 from . import cloud as _cloud
-from .cloud import PointCloud, Subset, _upper
+from .cloud import PointCloud, Subset, _upper, diameter
 from .config import DEFAULT_EXACT_CUTOFF, DEFAULT_TOL
 
 
@@ -125,22 +126,20 @@ def _bit_rows(mask: np.ndarray) -> List[int]:
             for t in range(len(packed))]
 
 
-def _greedy_cover_parts(cloud: PointCloud, idx: np.ndarray, r: float,
-                        tol: float) -> List[np.ndarray]:
-    """Maximal diameter-<=r parts of the sorted points ``idx``, each seeded at
-    the lowest uncovered index and grown by the lowest compatible ones.
+def _greedy_parts(cloud: PointCloud, idx: np.ndarray, related) -> List[np.ndarray]:
+    """Greedy parts of the points ``idx`` under ``related``, which maps a block
+    of distances (rows: members, columns: candidates) to a boolean block.
 
-    A part's candidates are the uncovered points after its last member that
-    are within ``r + tol`` of every member; the lowest one joins next.
-    While m^2 <= ``_DENSE_CAP`` (m <= 2,896 points) the whole compatibility
-    matrix is built up front, one Python-integer bitset per row (at most
-    1 MB), so each step is a few integer operations.  A larger subset
-    instead computes, for each new member, its distances to the remaining
-    candidates only: O(m) memory and no distance matrix.
+    A part starts at the first uncovered point in the order of ``idx``; the
+    first uncovered point after its last member that is related to every
+    member joins next.  While m^2 <= ``_DENSE_CAP`` the relation is built up
+    front as one Python-integer bitset per row (at most 1 MB); a larger
+    subset computes each new member's distances to the remaining candidates
+    only (O(m) memory, no distance matrix).
     """
     if idx.size * idx.size > _cloud._DENSE_CAP:
-        return _greedy_parts_by_candidates(cloud, idx, r + tol)
-    rows = [row for _, block in cloud._blocks(idx) for row in _bit_rows(block <= r + tol)]
+        return _greedy_parts_by_candidates(cloud, idx, related)
+    rows = [row for _, block in cloud._blocks(idx) for row in _bit_rows(related(block))]
     uncovered = (1 << idx.size) - 1
     members = []    # positions of every part's members, part after part
     ends = [0]
@@ -158,8 +157,8 @@ def _greedy_cover_parts(cloud: PointCloud, idx: np.ndarray, r: float,
 
 
 def _greedy_parts_by_candidates(cloud: PointCloud, idx: np.ndarray,
-                                 reach: float) -> List[np.ndarray]:
-    """:func:`_greedy_cover_parts` with the candidates as a position array."""
+                                 related) -> List[np.ndarray]:
+    """:func:`_greedy_parts` with the candidates as a position array."""
     uncovered = np.ones(idx.size, dtype=bool)
     parts = []
     while uncovered.any():
@@ -168,40 +167,29 @@ def _greedy_parts_by_candidates(cloud: PointCloud, idx: np.ndarray,
         while cand.size:
             t, cand = cand[0], cand[1:]
             members.append(t)
-            cand = cand[cloud.pairwise(idx[t:t + 1], idx[cand])[0] <= reach]
+            cand = cand[related(cloud.pairwise(idx[t:t + 1], idx[cand])[0])]
         uncovered[members] = False
         parts.append(idx[members])
     return parts
 
 
-def _greedy_pack_indices(subset: Subset, sep: float, tol: float,
-                         seed: Optional[int] = None) -> np.ndarray:
-    """Maximal separated family by lowest-index scan, optionally pinned to ``seed``."""
-    cloud = subset.cloud
-    idx = subset.indices
-    chosen: List[int] = []
-    if seed is not None:
-        chosen.append(int(seed))
-    for i in idx:
-        i = int(i)
-        if seed is not None and i == seed:
-            continue
-        row = cloud.distances_from(i)
-        if all(row[c] >= sep - tol for c in chosen):
-            chosen.append(i)
-    return np.asarray(sorted(chosen), dtype=np.int64)
+def _greedy_cover_parts(cloud: PointCloud, idx: np.ndarray, r: float,
+                        tol: float) -> List[np.ndarray]:
+    """Maximal diameter-<=r parts of ``idx``: the greedy scan under d <= r + tol."""
+    return _greedy_parts(cloud, idx, lambda d: d <= r + tol)
 
 
-def _separated_lower_bound(subset: Subset, r: float, tol: float) -> np.ndarray:
+def _greedy_pack_indices(cloud: PointCloud, idx: np.ndarray, sep: float,
+                         tol: float) -> np.ndarray:
+    """Sorted maximal sep-separated family, taking points in the order of ``idx``."""
+    # There are no parts only when there are no points.
+    return np.sort((_greedy_parts(cloud, idx, lambda d: d >= sep - tol) or [idx])[0])
+
+
+def _separated_lower_bound(cloud: PointCloud, idx: np.ndarray, r: float,
+                           tol: float) -> np.ndarray:
     """A family pairwise > r + tol apart: a valid lower-bound witness for N_r."""
-    cloud = subset.cloud
-    chosen: List[int] = []
-    for i in subset.indices:
-        i = int(i)
-        row = cloud.distances_from(i)
-        if all(row[c] > r + tol for c in chosen):
-            chosen.append(i)
-    return np.asarray(chosen, dtype=np.int64)
+    return (_greedy_parts(cloud, idx, lambda d: d > r + tol) or [idx])[0]
 
 
 def _bb_min_clique_cover(subset: Subset, r: float, tol: float) -> List[np.ndarray]:
@@ -220,7 +208,7 @@ def _bb_min_clique_cover(subset: Subset, r: float, tol: float) -> List[np.ndarra
     best_parts = [[int(v) for v in np.searchsorted(idx, part)]
                   for part in _greedy_cover_parts(cloud, idx, r, tol)]
     best = len(best_parts)
-    lb = len(_separated_lower_bound(subset, r, tol))
+    lb = len(_separated_lower_bound(cloud, idx, r, tol))
     if best == lb:
         return [idx[np.asarray(sorted(p))] for p in best_parts]
 
@@ -331,7 +319,7 @@ def packing_number(subset: Subset, sep: float, mode: str = "greedy",
                 f"exact packing requested on {len(subset)} points, cutoff {exact_cutoff}")
         wit = _bb_max_separated(subset, sep, tol)
         return PackResult(len(wit), Subset(cloud, wit), True)
-    wit = _greedy_pack_indices(subset, sep, tol)
+    wit = _greedy_pack_indices(cloud, subset.indices, sep, tol)
     return PackResult(len(wit), Subset(cloud, wit), False)
 
 
@@ -341,16 +329,16 @@ def maximal_separated_family(subset: Subset, sep: float, seed: int,
     if not sep > 0:
         raise ValueError("sep must be positive")
     seed = int(seed)
-    if seed not in subset.indices:
+    idx = subset.indices
+    if seed not in idx:
         raise ValueError("seed must belong to the subset")
-    return Subset(subset.cloud, _greedy_pack_indices(subset, sep, tol, seed=seed))
+    order = np.concatenate([[seed], idx[idx != seed]])
+    return Subset(subset.cloud, _greedy_pack_indices(subset.cloud, order, sep, tol))
 
 
 def validate_cover(subset: Subset, result: CoverResult, r: float,
                    tol: float = DEFAULT_TOL) -> bool:
     """Independent witness check: parts jointly cover and each has diameter <= r."""
-    from .cloud import diameter
-
     covered = np.unique(np.concatenate([p.indices for p in result.parts])) \
         if result.parts else np.empty(0, dtype=np.int64)
     if not np.array_equal(covered, subset.indices):

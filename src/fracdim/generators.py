@@ -13,8 +13,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .cloud import PointCloud, Subset
-from .config import DEFAULT_TOL
-from .regular import RegularFamily, Label
+from .config import DEFAULT_TOL, _checked_object
+from .regular import RegularFamily, parse_label
 
 
 def cantor_cloud(level: int) -> PointCloud:
@@ -85,10 +85,7 @@ def polarized_example_cloud(depth: int) -> PointCloud:
 def polarized_natural_family(depth: int) -> Tuple[PointCloud, RegularFamily]:
     """The cloud together with its natural (2, 2) labeling as a family."""
     cloud = polarized_example_cloud(depth)
-    assign = {}
-    for text, idx in cloud.meta["labels"].items():
-        lab: Label = () if text == "" else tuple(int(p) for p in text.split("."))
-        assign[lab] = idx
+    assign = {parse_label(text): idx for text, idx in cloud.meta["labels"].items()}
     return cloud, RegularFamily(2, 2, depth, False, assign)
 
 
@@ -141,6 +138,20 @@ def neighborhood_cascade(cloud: PointCloud, center: int, epsilon: float,
     return cloud.subset(union)
 
 
+# The one-parameter kinds: each one's generator and the spec field it reads.
+_ONE_PARAMETER = {
+    "cantor": (cantor_cloud, "level"),
+    "dyadic-grid": (dyadic_interval_cloud, "resolution"),
+    "interval-plus-point": (interval_plus_point_cloud, "resolution"),
+    "polarized": (polarized_example_cloud, "depth"),
+}
+
+# Every key of a spec's JSON form, with the value it must hold.
+_SPEC_FIELDS = {"kind": "a string", "level": "an integer", "resolution": "an integer",
+                "depth": "an integer", "center": "an integer", "offset": "a number",
+                "epsilon": "a number", "components": "a list of two", "base": "an object"}
+
+
 @dataclass(frozen=True)
 class GeneratorSpec:
     """Serializable description of one generated cloud.
@@ -167,22 +178,11 @@ class GeneratorSpec:
             raise ValueError(f"unknown generator kind {self.kind!r}")
 
     def build(self) -> PointCloud:
-        if self.kind == "cantor":
-            if self.level is None:
-                raise ValueError("cantor requires level")
-            return cantor_cloud(self.level)
-        if self.kind == "dyadic-grid":
-            if self.resolution is None:
-                raise ValueError("dyadic-grid requires resolution")
-            return dyadic_interval_cloud(self.resolution)
-        if self.kind == "interval-plus-point":
-            if self.resolution is None:
-                raise ValueError("interval-plus-point requires resolution")
-            return interval_plus_point_cloud(self.resolution)
-        if self.kind == "polarized":
-            if self.depth is None:
-                raise ValueError("polarized requires depth")
-            return polarized_example_cloud(self.depth)
+        if self.kind in _ONE_PARAMETER:
+            make, name = _ONE_PARAMETER[self.kind]
+            if getattr(self, name) is None:
+                raise ValueError(f"{self.kind} requires {name}")
+            return make(getattr(self, name))
         if self.kind == "union":
             if self.components is None or self.offset is None:
                 raise ValueError("union requires components and offset")
@@ -211,7 +211,8 @@ class GeneratorSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GeneratorSpec":
-        data = dict(data)
+        """The spec a JSON object describes; malformed input raises ValueError."""
+        data = _checked_object(data, "generator spec", _SPEC_FIELDS, required=("kind",))
         if "components" in data:
             a, b = data["components"]
             data["components"] = (cls.from_dict(a), cls.from_dict(b))

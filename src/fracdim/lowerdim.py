@@ -160,10 +160,9 @@ def _counts_generic(cloud: PointCloud, pairs: List[Tuple[float, float]], mode: s
     A ball is every point within ``R + tol`` of the center, as in
     :func:`fracdim.cloud.closed_ball`.
     """
-    dense = cloud.dense()
     counts = []
     for center in range(cloud.n):
-        dist = dense[center] if dense is not None else cloud.distances_from(center)
+        dist = cloud.distances_from(center)
         balls: dict = {}
         row = []
         for R, r in pairs:

@@ -27,7 +27,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .cloud import PointCloud, Subset, closed_ball
-from .config import DEFAULT_BUDGET, DEFAULT_EXACT_CUTOFF, DEFAULT_TOL
+from .config import (_JSON_CHECKS, DEFAULT_BUDGET, DEFAULT_EXACT_CUTOFF, DEFAULT_TOL,
+                     _checked_object)
 from .covering import (_ball_cover_counts_1d, _greedy_cover_parts, _separated_lower_bound,
                        _sweep_pack, covering_number)
 
@@ -96,9 +97,14 @@ class RegularFamily:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RegularFamily":
-        assign = {parse_label(s): int(i) for s, i in data["assign"].items()}
-        return cls(int(data["k"]), int(data["l"]), int(data["depth"]),
-                   bool(data["strong"]), assign)
+        """The family a JSON object describes; malformed input raises ValueError."""
+        fields = {"k": "an integer", "l": "an integer", "depth": "an integer",
+                  "strong": "a boolean", "assign": "an object"}
+        data = _checked_object(data, "certificate", fields, required=fields)
+        if not all(_JSON_CHECKS["an integer"](i) for i in data["assign"].values()):
+            raise ValueError("certificate labels must map to integer point indices")
+        assign = {parse_label(s): i for s, i in data["assign"].items()}
+        return cls(data["k"], data["l"], data["depth"], data["strong"], assign)
 
 
 @dataclass(frozen=True)
@@ -367,14 +373,14 @@ def level_points(family: RegularFamily, n: int, cloud: PointCloud) -> Subset:
     return Subset(cloud, idx)
 
 
-def _cover_count_lower_bound(subset: Subset, r: float, tol: float,
+def _cover_count_lower_bound(cloud: PointCloud, idx: np.ndarray, r: float, tol: float,
                              exact_cutoff: int) -> int:
-    """A certified lower bound on the covering number of ``subset`` at ``r``."""
-    if len(subset) <= exact_cutoff:
-        return covering_number(subset, r, mode="exact", tol=tol,
+    """A certified lower bound on the covering number of the points ``idx`` at ``r``."""
+    if idx.size <= exact_cutoff:
+        return covering_number(Subset(cloud, idx), r, mode="exact", tol=tol,
                                exact_cutoff=exact_cutoff).count
     # Points pairwise farther than r + tol must land in distinct parts.
-    return int(_separated_lower_bound(subset, r, tol).size)
+    return int(_separated_lower_bound(cloud, idx, r, tol).size)
 
 
 def certificate_scaling_check(cloud: PointCloud, family: RegularFamily,
@@ -413,8 +419,7 @@ def certificate_scaling_check(cloud: PointCloud, family: RegularFamily,
                 for R, r in rep_pairs:
                     ball = closed_ball(cloud, int(x), R, tol)
                     inter = np.intersect1d(ball.indices, deepest.indices)
-                    count = _cover_count_lower_bound(Subset(cloud, inter), r, tol,
-                                                     exact_cutoff)
+                    count = _cover_count_lower_bound(cloud, inter, r, tol, exact_cutoff)
                     if count < needed:
                         return False
     return True

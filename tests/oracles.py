@@ -161,3 +161,29 @@ def greedy_cover_oracle(dmat: np.ndarray, r: float, tol: float = 1e-12) -> list:
         parts.append(remaining[member])
         remaining = remaining[~member]
     return parts
+
+
+def greedy_pack_oracle(dmat: np.ndarray, sep: float, tol: float = 1e-12,
+                       seed=None) -> list:
+    """Maximal sep-separated family by a row-by-row scan, as sorted positions.
+
+    ``seed`` (if given) is chosen first; every other position, in order,
+    joins when ``dmat[position, chosen]`` is at least ``sep - tol`` for
+    everything chosen so far.
+    """
+    chosen = [] if seed is None else [seed]
+    for i in range(dmat.shape[0]):
+        if i != seed and all(dmat[i, c] >= sep - tol for c in chosen):
+            chosen.append(i)
+    return sorted(chosen)
+
+
+def separated_family_oracle(dmat: np.ndarray, r: float, tol: float = 1e-12) -> list:
+    """Positions pairwise more than ``r + tol`` apart, by a row-by-row scan: a
+    position joins when ``dmat[position, chosen]`` exceeds ``r + tol`` for
+    everything chosen so far."""
+    chosen = []
+    for i in range(dmat.shape[0]):
+        if all(dmat[i, c] > r + tol for c in chosen):
+            chosen.append(i)
+    return chosen

@@ -252,6 +252,61 @@ class TestInfoAndConfig:
         assert code == 2
 
 
+def _run_module(*argv):
+    return subprocess.run([sys.executable, "-m", "fracdim", *argv],
+                          capture_output=True, text=True)
+
+
+class TestMalformedFiles:
+    """Malformed spec, certificate and config files are validation errors (exit 2)."""
+
+    def _assert_validation_error(self, proc):
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("validation error")
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("spec", [
+        {"kind": "cantor", "lvl": 3},
+        [1, 2],
+        {"kind": "union", "offset": 2.0, "components": [1, 2]},
+        {"kind": "cantor", "level": "3"},
+        {"kind": "cantor", "level": True},
+        {"level": 3},
+        {"kind": "union", "offset": 2.0, "components": [{"kind": "cantor", "level": 2}]},
+        {"kind": "cascade", "base": [], "center": 0, "epsilon": 0.3, "depth": 2},
+    ])
+    def test_generator_spec(self, tmp_path, spec):
+        spec_path = tmp_path / "s.json"
+        spec_path.write_text(json.dumps(spec))
+        self._assert_validation_error(_run_module(
+            "generate", "from-spec", "--spec", str(spec_path), "--out", str(tmp_path / "o.json")))
+
+    @pytest.mark.parametrize("cert", [
+        {"k": 2},
+        [],
+        {"k": 2, "l": 2, "depth": 0, "strong": False, "assign": {"": "0"}},
+        {"k": 2, "l": 2, "depth": 0, "strong": 0, "assign": {"": 0}},
+        {"k": 2.0, "l": 2, "depth": 0, "strong": False, "assign": {"": 0}},
+        {"k": 2, "l": 2, "depth": 0, "strong": False, "assign": {"": 0}, "extra": 1},
+    ])
+    def test_certificate(self, tmp_path, cert):
+        cloud_path = tmp_path / "g.json"
+        io.write_cloud(PointCloud([0.0, 1.0]), cloud_path)
+        cert_path = tmp_path / "c.json"
+        cert_path.write_text(json.dumps(cert))
+        self._assert_validation_error(_run_module("verify", str(cloud_path), str(cert_path)))
+
+    def test_config_value(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"tol": "1e-9"}))
+        self._assert_validation_error(_run_module("--config", str(cfg_path), "info"))
+
+    def test_missing_generator_flag_names_the_spec_field(self, tmp_path):
+        proc = _run_module("generate", "dyadic-grid", "--out", str(tmp_path / "o.json"))
+        self._assert_validation_error(proc)
+        assert proc.stderr == "validation error: dyadic-grid requires resolution\n"
+
+
 class TestDeterminismAndEntryPoint:
     def test_byte_identical_reruns(self, capsys, tmp_path):
         cloud_path = tmp_path / "g.json"

@@ -9,9 +9,11 @@ import fracdim.cloud as cloud_module
 from fracdim import (PointCloud, Subset, cantor_cloud, covering_number,
                      maximal_separated_family, packing_number, validate_cover,
                      validate_packing)
-from fracdim.covering import _greedy_cover_parts, _sweep_cover_counts, _sweep_cover_parts
+from fracdim.covering import (_greedy_cover_parts, _greedy_pack_indices, _separated_lower_bound,
+                              _sweep_cover_counts, _sweep_cover_parts)
 from oracles import (certified_cover_count_1d, distance_row_oracle, exact_cover_oracle,
-                     exact_pack_oracle, greedy_cover_oracle, random_metric_cloud)
+                     exact_pack_oracle, greedy_cover_oracle, greedy_pack_oracle,
+                     random_metric_cloud, separated_family_oracle)
 
 TOL = 1e-12
 
@@ -228,6 +230,93 @@ class TestGreedyCoverParts:
             assert [p.indices.tolist() for p in res.parts] == expected
             assert validate_cover(sub, res, r)
         assert cloud.dense() is None
+
+
+def _separated_scans(cloud, idx, radius, seed_pos):
+    """Every family the greedy scan gives at ``radius``, as index lists."""
+    out = {"separated": _separated_lower_bound(cloud, idx, radius, TOL).tolist(),
+           "pack": _greedy_pack_indices(cloud, idx, radius, TOL).tolist(),
+           "packing_number": packing_number(Subset(cloud, idx), radius).witnesses.indices.tolist()}
+    if seed_pos is not None:
+        fam = maximal_separated_family(Subset(cloud, idx), radius, seed=idx[seed_pos])
+        out["seeded"] = fam.indices.tolist()
+    return out
+
+
+def _separated_oracles(dmat, idx, radius, seed_pos):
+    out = {"separated": idx[separated_family_oracle(dmat, radius, TOL)].tolist(),
+           "pack": idx[greedy_pack_oracle(dmat, radius, TOL)].tolist()}
+    out["packing_number"] = out["pack"]
+    if seed_pos is not None:
+        out["seeded"] = idx[greedy_pack_oracle(dmat, radius, TOL, seed=seed_pos)].tolist()
+    return out
+
+
+class TestGreedySeparatedFamilies:
+    """The separated family and the greedy packing, both first parts of the greedy
+    scan, against the row-by-row scans they replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, 15 * 16 + 15), min_size=1, max_size=90, unique=True),
+           st.sampled_from(["euclidean", "l1"]), st.integers(1, 12), st.data())
+    @example([0, 3, 4, 64, 67], "euclidean", 5, None)   # 3-4-5 triangles: distances exactly 5/8
+    def test_families_match_oracles(self, cells, metric, steps, data):
+        # the dyadic 16 x 16 grid of TestGreedyCoverParts: many distances equal the radius
+        coords = np.array([[c // 16, c % 16] for c in cells], dtype=float) / 8.0
+        cloud = PointCloud(coords, metric=metric)
+        radius = steps / 8.0
+        if data is None:
+            keep, seed_pos = list(range(len(cells))), 0
+        else:
+            keep = data.draw(st.lists(st.sampled_from(range(len(cells))), min_size=1,
+                                      unique=True))
+            seed_pos = data.draw(st.one_of(st.none(), st.integers(0, len(keep) - 1)))
+        idx = np.asarray(sorted(keep), dtype=np.int64)
+        dmat = np.stack([distance_row_oracle(coords, i, metric) for i in idx])[:, idx]
+        expected = _separated_oracles(dmat, idx, radius, seed_pos)
+        assert _separated_scans(cloud, idx, radius, seed_pos) == expected
+        with mock.patch.object(cloud_module, "_DENSE_CAP", 0):   # the candidate scan
+            assert _separated_scans(cloud, idx, radius, seed_pos) == expected
+
+    @pytest.mark.parametrize("cap", [None, 0])
+    def test_matrix_cloud(self, monkeypatch, cap):
+        if cap is not None:
+            monkeypatch.setattr(cloud_module, "_DENSE_CAP", cap)
+        dmat = random_metric_cloud(np.random.default_rng(22), 70, 3)
+        cloud = PointCloud.from_matrix(dmat)
+        idx = np.arange(70)
+        for radius in (0.1, 0.3, 0.6):
+            for seed_pos in (None, 0, 41):
+                assert (_separated_scans(cloud, idx, radius, seed_pos)
+                        == _separated_oracles(dmat, idx, radius, seed_pos))
+
+    @pytest.mark.parametrize("cap", [None, 0])
+    def test_distances_within_tol_of_the_radius(self, monkeypatch, cap):
+        if cap is not None:
+            monkeypatch.setattr(cloud_module, "_DENSE_CAP", cap)
+        half = TOL / 2
+        dmat = np.array([[0.0, 1 + half, 1 + 4 * half],
+                         [1 + half, 0.0, 1 - half],
+                         [1 + 4 * half, 1 - half, 0.0]])
+        cloud = PointCloud.from_matrix(dmat)
+        idx = np.arange(3)
+        # separated: only 1 + 2 tol exceeds 1 + tol; packing: every distance is >= 1 - tol
+        expected = {"separated": [0, 2], "pack": [0, 1, 2], "packing_number": [0, 1, 2],
+                    "seeded": [0, 1, 2]}
+        assert _separated_oracles(dmat, idx, 1.0, 1) == expected
+        assert _separated_scans(cloud, idx, 1.0, 1) == expected
+
+    @pytest.mark.parametrize("cap", [None, 0])
+    def test_empty_and_one_point(self, monkeypatch, cap):
+        if cap is not None:
+            monkeypatch.setattr(cloud_module, "_DENSE_CAP", cap)
+        cloud = PointCloud([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
+        empty = np.empty(0, dtype=np.int64)
+        assert _separated_lower_bound(cloud, empty, 0.5, TOL).tolist() == []
+        assert _greedy_pack_indices(cloud, empty, 0.5, TOL).tolist() == []
+        one = np.array([2])
+        assert _separated_scans(cloud, one, 0.5, 0) == {
+            "separated": [2], "pack": [2], "packing_number": [2], "seeded": [2]}
 
 
 class TestProperties:
