@@ -6,7 +6,8 @@ distance matrix.
 
 Every distance the package computes comes from one kernel,
 :func:`_distance_blocks`, so a comparison against ``r + tol`` gives the
-same answer wherever it is made.  A coordinate cloud with
+same answer wherever it is made, and every closed ball comes from one rule,
+:func:`_ball`, as a sorted index array.  A coordinate cloud with
 n^2 <= ``_DENSE_CAP`` (n <= 2,896, at most 64 MB) builds its full distance
 matrix the first time rows are asked for (:meth:`PointCloud.dense`,
 ``distances_from``, ``pairwise``) and keeps it; matrix clouds use their own
@@ -331,13 +332,17 @@ def closed_ball(cloud: PointCloud, center: int, radius: float,
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     cloud._check_index(center)
+    return Subset(cloud, _ball(cloud, center, radius, tol))
+
+
+def _ball(cloud: PointCloud, center: int, radius: float, tol: float) -> np.ndarray:
+    """Sorted indices within ``radius + tol`` of ``center``: the one ball rule, unchecked."""
     if cloud.sorted_1d:
         x = cloud.coords[center, 0]
         lo = int(np.searchsorted(cloud.coords[:, 0], x - radius - tol, side="left"))
         hi = int(np.searchsorted(cloud.coords[:, 0], x + radius + tol, side="right"))
-        return Subset(cloud, np.arange(lo, hi, dtype=np.int64))
-    row = cloud.distances_from(center)
-    return Subset(cloud, np.flatnonzero(row <= radius + tol).astype(np.int64))
+        return np.arange(lo, hi, dtype=np.int64)
+    return np.flatnonzero(cloud.distances_from(center) <= radius + tol).astype(np.int64)
 
 
 def _directed_hausdorff(a: PointCloud, b: PointCloud) -> float:

@@ -25,7 +25,6 @@ _JSON_CHECKS = {
     "a number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
     "a boolean": lambda v: isinstance(v, bool),
     "a string": lambda v: isinstance(v, str),
-    "a string or null": lambda v: v is None or isinstance(v, str),
     "an object": lambda v: isinstance(v, dict),
     "a list of two": lambda v: isinstance(v, list) and len(v) == 2,
 }
@@ -60,7 +59,6 @@ class RunConfig:
     tol: float = DEFAULT_TOL
     exact_cutoff: int = DEFAULT_EXACT_CUTOFF
     budget: int = DEFAULT_BUDGET
-    output: str | None = None
 
     def __post_init__(self) -> None:
         if not self.tol > 0:
@@ -72,8 +70,7 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
-        fields = {"tol": "a number", "exact_cutoff": "an integer", "budget": "an integer",
-                  "output": "a string or null"}
+        fields = {"tol": "a number", "exact_cutoff": "an integer", "budget": "an integer"}
         with open(path, "r", encoding="utf-8") as fh:
             return cls(**_checked_object(json.load(fh), "config", fields))
 

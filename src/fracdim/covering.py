@@ -20,7 +20,7 @@ first part under ``d > r + tol`` is a separated family (a certified lower
 bound on the covering number); the first part under ``d >= sep - tol`` is
 the greedy packing.  Subsets of up to 2,896 points hold the relation as one
 bitset per row; larger ones compute each new member's distances to the
-remaining candidates only.  Count-only callers build no ``Subset``, and
+remaining candidates only.  Private helpers take index arrays, and
 witnesses are reproducible across runs and platforms.
 """
 from __future__ import annotations
@@ -49,10 +49,10 @@ class PackResult:
     exact: bool
 
 
-def _sweep_cover_parts(subset: Subset, r: float, tol: float) -> List[np.ndarray]:
-    """Greedy sweep on a sorted-1-D subset; optimal (see module docstring)."""
-    coords = subset.coords_1d()
-    idx = subset.indices
+def _sweep_cover_parts(cloud: PointCloud, idx: np.ndarray, r: float,
+                       tol: float) -> List[np.ndarray]:
+    """Greedy sweep on sorted ``idx`` of a sorted-1-D cloud; optimal (see module docstring)."""
+    coords = cloud.coords[idx, 0]
     parts = []
     start = 0
     while start < idx.size:
@@ -98,7 +98,7 @@ def _ball_cover_counts_1d(x: np.ndarray, R: float, r: float, tol: float) -> np.n
     """Sweep cover count at ``r`` of the closed ball B(x[i], R) within ``x``, for every i.
 
     ``x`` is strictly increasing; the ball bounds ``(x[i] - R) - tol`` and
-    ``(x[i] + R) + tol`` are those of :func:`fracdim.cloud.closed_ball`.
+    ``(x[i] + R) + tol`` are those of :func:`fracdim.cloud._ball`.
     """
     lo = np.searchsorted(x, x - R - tol, side="left")
     hi = np.searchsorted(x, x + R + tol, side="right")
@@ -192,17 +192,16 @@ def _separated_lower_bound(cloud: PointCloud, idx: np.ndarray, r: float,
     return (_greedy_parts(cloud, idx, lambda d: d > r + tol) or [idx])[0]
 
 
-def _bb_min_clique_cover(subset: Subset, r: float, tol: float) -> List[np.ndarray]:
-    """Exact minimum partition into diameter-<=r parts, branch-and-bound.
+def _bb_min_clique_cover(cloud: PointCloud, idx: np.ndarray, r: float,
+                         tol: float) -> List[np.ndarray]:
+    """Exact minimum partition of ``idx`` into diameter-<=r parts, branch-and-bound.
 
     Vertices are assigned in index order to an existing compatible part or a
     fresh one; a fixed exploration order keeps the witness deterministic.
     """
-    idx = subset.indices
     m = idx.size
     if m == 0:
         return []
-    cloud = subset.cloud
     compat = cloud.pairwise(idx) <= r + tol
 
     best_parts = [[int(v) for v in np.searchsorted(idx, part)]
@@ -238,13 +237,13 @@ def _bb_min_clique_cover(subset: Subset, r: float, tol: float) -> List[np.ndarra
     return [idx[np.asarray(sorted(p))] for p in out[0]]
 
 
-def _bb_max_separated(subset: Subset, sep: float, tol: float) -> np.ndarray:
-    """Exact maximum family with pairwise distance >= sep, branch-and-bound."""
-    idx = subset.indices
+def _bb_max_separated(cloud: PointCloud, idx: np.ndarray, sep: float,
+                      tol: float) -> np.ndarray:
+    """Exact maximum family in ``idx`` with pairwise distance >= sep, branch-and-bound."""
     m = idx.size
     if m == 0:
         return idx.copy()
-    ok = subset.cloud.pairwise(idx) >= sep - tol
+    ok = cloud.pairwise(idx) >= sep - tol
     np.fill_diagonal(ok, False)
 
     best_set: List[int] = []
@@ -279,20 +278,20 @@ def covering_number(subset: Subset, r: float, mode: str = "auto",
         raise ValueError(f"unknown mode {mode!r}")
     if not r > 0:
         raise ValueError("r must be positive")
-    cloud = subset.cloud
-    if len(subset) == 0:
-        return CoverResult(0, [], True)
-    if cloud.sorted_1d:
-        parts = _sweep_cover_parts(subset, r, tol)
-        return CoverResult(len(parts), [Subset(cloud, p) for p in parts], True)
-    if mode == "exact" or (mode == "auto" and len(subset) <= exact_cutoff):
-        if len(subset) > exact_cutoff:
+    cloud, idx = subset.cloud, subset.indices
+    exact = True
+    if idx.size == 0:
+        parts = []
+    elif cloud.sorted_1d:
+        parts = _sweep_cover_parts(cloud, idx, r, tol)
+    elif mode == "exact" or (mode == "auto" and idx.size <= exact_cutoff):
+        if idx.size > exact_cutoff:
             raise ValueError(
-                f"exact covering requested on {len(subset)} points, cutoff {exact_cutoff}")
-        parts = _bb_min_clique_cover(subset, r, tol)
-        return CoverResult(len(parts), [Subset(cloud, p) for p in parts], True)
-    parts = _greedy_cover_parts(cloud, subset.indices, r, tol)
-    return CoverResult(len(parts), [Subset(cloud, p) for p in parts], False)
+                f"exact covering requested on {idx.size} points, cutoff {exact_cutoff}")
+        parts = _bb_min_clique_cover(cloud, idx, r, tol)
+    else:
+        parts, exact = _greedy_cover_parts(cloud, idx, r, tol), False
+    return CoverResult(len(parts), [Subset(cloud, p) for p in parts], exact)
 
 
 def packing_number(subset: Subset, sep: float, mode: str = "greedy",
@@ -307,20 +306,20 @@ def packing_number(subset: Subset, sep: float, mode: str = "greedy",
         raise ValueError(f"unknown mode {mode!r}")
     if not sep > 0:
         raise ValueError("sep must be positive")
-    cloud = subset.cloud
-    if len(subset) == 0:
-        return PackResult(0, Subset(cloud, np.empty(0, dtype=np.int64)), True)
-    if cloud.sorted_1d:
-        wit = subset.indices[_sweep_pack(subset.coords_1d(), sep, tol)]
-        return PackResult(len(wit), Subset(cloud, wit), True)
-    if mode == "exact":
-        if len(subset) > exact_cutoff:
+    cloud, idx = subset.cloud, subset.indices
+    exact = True
+    if idx.size == 0:
+        wit = idx
+    elif cloud.sorted_1d:
+        wit = idx[_sweep_pack(cloud.coords[idx, 0], sep, tol)]
+    elif mode == "exact":
+        if idx.size > exact_cutoff:
             raise ValueError(
-                f"exact packing requested on {len(subset)} points, cutoff {exact_cutoff}")
-        wit = _bb_max_separated(subset, sep, tol)
-        return PackResult(len(wit), Subset(cloud, wit), True)
-    wit = _greedy_pack_indices(cloud, subset.indices, sep, tol)
-    return PackResult(len(wit), Subset(cloud, wit), False)
+                f"exact packing requested on {idx.size} points, cutoff {exact_cutoff}")
+        wit = _bb_max_separated(cloud, idx, sep, tol)
+    else:
+        wit, exact = _greedy_pack_indices(cloud, idx, sep, tol), False
+    return PackResult(len(wit), Subset(cloud, wit), exact)
 
 
 def maximal_separated_family(subset: Subset, sep: float, seed: int,

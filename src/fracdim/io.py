@@ -13,6 +13,7 @@ from typing import List
 import numpy as np
 
 from .cloud import PointCloud
+from .config import _JSON_CHECKS
 from .lowerdim import EstimateReport
 from .regular import RegularFamily
 from .trees import FiniteTree
@@ -130,6 +131,10 @@ def read_tree(path: str) -> FiniteTree:
         data = json.load(fh)
     if not isinstance(data, list):
         raise ValueError("tree file must hold a JSON list of integer arrays")
+    is_int = _JSON_CHECKS["an integer"]
+    for node in data:
+        if not (isinstance(node, list) and all(is_int(x) for x in node)):
+            raise ValueError(f"tree node {json.dumps(node)} must be a list of integers")
     return FiniteTree(data)
 
 

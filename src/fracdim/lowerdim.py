@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .cloud import PointCloud, Subset
+from .cloud import PointCloud, Subset, _ball
 from .config import DEFAULT_BUDGET, DEFAULT_EXACT_CUTOFF, DEFAULT_TOL
 from .covering import _ball_cover_counts_1d, _greedy_cover_parts, covering_number
 
@@ -157,17 +157,15 @@ def _counts_generic(cloud: PointCloud, pairs: List[Tuple[float, float]], mode: s
                     tol: float, exact_cutoff: int) -> List[List[int]]:
     """N_r(B(x, R)) per center and pair, one covering solve per row.
 
-    A ball is every point within ``R + tol`` of the center, as in
-    :func:`fracdim.cloud.closed_ball`.
+    Balls come from the one ball rule, :func:`fracdim.cloud._ball`.
     """
     counts = []
     for center in range(cloud.n):
-        dist = cloud.distances_from(center)
         balls: dict = {}
         row = []
         for R, r in pairs:
             if R not in balls:
-                balls[R] = np.flatnonzero(dist <= R + tol)
+                balls[R] = _ball(cloud, center, R, tol)
             if mode == "greedy":
                 row.append(len(_greedy_cover_parts(cloud, balls[R], r, tol)))
             else:

@@ -26,11 +26,11 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .cloud import PointCloud, Subset, closed_ball
+from .cloud import PointCloud, Subset, _ball
 from .config import (_JSON_CHECKS, DEFAULT_BUDGET, DEFAULT_EXACT_CUTOFF, DEFAULT_TOL,
                      _checked_object)
-from .covering import (_ball_cover_counts_1d, _greedy_cover_parts, _separated_lower_bound,
-                       _sweep_pack, covering_number)
+from .covering import (_ball_cover_counts_1d, _bb_min_clique_cover, _greedy_cover_parts,
+                       _separated_lower_bound, _sweep_pack)
 
 Label = Tuple[int, ...]
 
@@ -50,7 +50,14 @@ def label_str(label: Label) -> str:
 
 
 def parse_label(text: str) -> Label:
-    return () if text == "" else tuple(int(p) for p in text.split("."))
+    """The label written as ``text``, which must be :func:`label_str`'s form."""
+    try:
+        label = () if text == "" else tuple(int(p) for p in text.split("."))
+    except ValueError:
+        label = None
+    if label is None or label_str(label) != text:
+        raise ValueError(f"invalid certificate label {text!r}")
+    return label
 
 
 @dataclass
@@ -196,7 +203,7 @@ class _Search:
         self.tol = tol
         self.expansions = 0
         self._frag: Dict[Tuple[int, int, int], Optional[dict]] = {}
-        self._plausible: Dict[Tuple[int, int, int], bool] = {}
+        self._plausible: Dict[Tuple[int, int], bool] = {}
 
     def _tick(self) -> None:
         self.expansions += 1
@@ -220,10 +227,10 @@ class _Search:
         """One-step lookahead: necessary condition for a feasible subtree."""
         if rest <= 0:
             return True
-        key = (point, level, rest)
+        key = (point, level)
         if key not in self._plausible:
-            pool = closed_ball(self.cloud, point, child_radius(self.k, level), self.tol)
-            ub = self._pack_upper_bound(pool.indices, level_separation(self.k, level + 1))
+            pool = _ball(self.cloud, point, child_radius(self.k, level), self.tol)
+            ub = self._pack_upper_bound(pool, level_separation(self.k, level + 1))
             self._plausible[key] = ub >= self.l
         return self._plausible[key]
 
@@ -240,12 +247,12 @@ class _Search:
     def _expand(self, point: int, level: int, rest: int) -> Optional[dict]:
         if rest == 0:
             return {(): point}
-        sep = level_separation(self.k, level + 1)
-        pool = closed_ball(self.cloud, point, child_radius(self.k, level), self.tol).indices
         # cheapest rejection first: even the unfiltered pool cannot hold l
         # children at the required separation
-        if self._pack_upper_bound(pool, sep) < self.l:
+        if not self._is_plausible(point, level, rest):
             return None
+        sep = level_separation(self.k, level + 1)
+        pool = _ball(self.cloud, point, child_radius(self.k, level), self.tol)
         if self.strong and self.subtree(point, level + 1, rest - 1) is None:
             return None
         cands = [int(q) for q in pool
@@ -377,8 +384,7 @@ def _cover_count_lower_bound(cloud: PointCloud, idx: np.ndarray, r: float, tol: 
                              exact_cutoff: int) -> int:
     """A certified lower bound on the covering number of the points ``idx`` at ``r``."""
     if idx.size <= exact_cutoff:
-        return covering_number(Subset(cloud, idx), r, mode="exact", tol=tol,
-                               exact_cutoff=exact_cutoff).count
+        return len(_bb_min_clique_cover(cloud, idx, r, tol))
     # Points pairwise farther than r + tol must land in distinct parts.
     return int(_separated_lower_bound(cloud, idx, r, tol).size)
 
@@ -417,8 +423,7 @@ def certificate_scaling_check(cloud: PointCloud, family: RegularFamily,
                 continue
             for x in deepest.indices:
                 for R, r in rep_pairs:
-                    ball = closed_ball(cloud, int(x), R, tol)
-                    inter = np.intersect1d(ball.indices, deepest.indices)
+                    inter = np.intersect1d(_ball(cloud, int(x), R, tol), deepest.indices)
                     count = _cover_count_lower_bound(cloud, inter, r, tol, exact_cutoff)
                     if count < needed:
                         return False

@@ -290,16 +290,40 @@ class TestMalformedFiles:
         {"k": 2, "l": 2, "depth": 0, "strong": False, "assign": {"": 0}, "extra": 1},
     ])
     def test_certificate(self, tmp_path, cert):
+        self._assert_validation_error(self._verify(tmp_path, cert))
+
+    @pytest.mark.parametrize("label", ["x", "0.", "01", " 1"])
+    def test_certificate_label(self, tmp_path, label):
+        proc = self._verify(tmp_path, {"k": 2, "l": 2, "depth": 0, "strong": False,
+                                       "assign": {label: 0}})
+        self._assert_validation_error(proc)
+        assert f"invalid certificate label {label!r}" in proc.stderr
+
+    def _verify(self, tmp_path, cert):
         cloud_path = tmp_path / "g.json"
         io.write_cloud(PointCloud([0.0, 1.0]), cloud_path)
         cert_path = tmp_path / "c.json"
         cert_path.write_text(json.dumps(cert))
-        self._assert_validation_error(_run_module("verify", str(cloud_path), str(cert_path)))
+        return _run_module("verify", str(cloud_path), str(cert_path))
+
+    @pytest.mark.parametrize("nodes", [[[], [0.7]], [[], [True]], [[], "0"]])
+    def test_tree(self, tmp_path, nodes):
+        tree_path = tmp_path / "t.json"
+        tree_path.write_text(json.dumps(nodes))
+        self._assert_validation_error(_run_module(
+            "embed", str(tree_path), "--out", str(tmp_path / "o.json")))
 
     def test_config_value(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"tol": "1e-9"}))
         self._assert_validation_error(_run_module("--config", str(cfg_path), "info"))
+
+    def test_config_removed_output_key(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"output": "out.json"}))
+        proc = _run_module("--config", str(cfg_path), "info")
+        self._assert_validation_error(proc)
+        assert "unknown config keys: ['output']" in proc.stderr
 
     def test_missing_generator_flag_names_the_spec_field(self, tmp_path):
         proc = _run_module("generate", "dyadic-grid", "--out", str(tmp_path / "o.json"))

@@ -83,6 +83,36 @@ class TestClosedBall:
             closed_ball(grid11, 0, -0.1)
 
 
+def _ball_clouds():
+    """Dyadic clouds (every distance exact) of each kind the ball rule serves."""
+    rng = np.random.default_rng(11)
+    line = rng.choice(64, size=20, replace=False) / 16.0
+    plane = np.array([[c // 8, c % 8] for c in rng.choice(64, size=20, replace=False)]) / 8.0
+    l1 = np.abs(plane[:, None, :] - plane[None, :, :]).sum(axis=2)
+    return {
+        "sorted-1d": PointCloud(np.sort(line)),
+        "unsorted-1d": PointCloud(line),
+        "2d": PointCloud(plane),
+        "l1": PointCloud(plane, metric="l1"),
+        "matrix": PointCloud.from_matrix(l1),
+    }
+
+
+class TestBallRule:
+    @pytest.mark.parametrize("kind", sorted(_ball_clouds()))
+    @pytest.mark.parametrize("tol", [TOL, 0.0])
+    def test_ball_is_closed_ball(self, kind, tol):
+        # radii exactly at every pairwise distance, where <= and < differ
+        cloud = _ball_clouds()[kind]
+        for center in range(cloud.n):
+            row = cloud.distances_from(center)
+            for radius in np.unique(row):
+                ball = cloud_module._ball(cloud, center, radius, tol)
+                assert ball.dtype == np.int64
+                assert np.array_equal(ball, closed_ball(cloud, center, radius, tol).indices)
+                assert np.array_equal(ball, np.flatnonzero(row <= radius + tol))
+
+
 class TestHausdorff:
     def test_identical(self, grid11):
         other = PointCloud(np.arange(11) * 0.1)

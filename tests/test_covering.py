@@ -167,7 +167,7 @@ class TestSweepCoverCounts:
         counts = _sweep_cover_counts(x, r, lo, hi, TOL)
         assert counts.shape == lo.shape
         for a, b, count in zip(lo, hi, counts):
-            parts = _sweep_cover_parts(Subset(cloud, np.arange(a, b)), r, TOL)
+            parts = _sweep_cover_parts(cloud, np.arange(a, b), r, TOL)
             assert count == len(parts) == certified_cover_count_1d(x[a:b], r)
 
     def test_gap_within_tol_joins_one_part(self):

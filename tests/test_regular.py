@@ -1,12 +1,15 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from fracdim import (PointCloud, RegularFamily, cantor_cloud,
+import fracdim.cloud as cloud_module
+from fracdim import (FiniteTree, PointCloud, RegularFamily, ScaleWindow, cantor_cloud,
                      certificate_scaling_check, choose_parameters,
-                     dimension_bound, dyadic_interval_cloud,
-                     hausdorff_distance, level_points, packing_number,
+                     dimension_bound, dyadic_interval_cloud, embed_tree,
+                     hausdorff_distance, level_points, lower_dim_estimate,
+                     max_regular_depth, packing_number, polarized_example_cloud,
                      polarized_natural_family, search_regular, verify_regular)
 
 TOL = 1e-12
@@ -275,3 +278,110 @@ class TestClosednessAnalogue:
             assert verify_regular(shifted, fam).ok
         # pointwise limit of the assignments is the original indices
         assert verify_regular(base, fam).ok
+
+
+def _grid_2d():
+    """The 16 x 16 dyadic grid of spacing 1/16 in the plane."""
+    return PointCloud([[i / 16, j / 16] for i in range(16) for j in range(16)])
+
+
+def _outcome(res):
+    """(expansions, state, family as a dict) of a search result."""
+    state = "found" if res.family is not None else "exhausted" if res.exhausted else "absent"
+    return res.expansions, state, None if res.family is None else res.family.to_dict()
+
+
+def _family_dict(k, l, depth, strong, indices):
+    """``RegularFamily.to_dict()`` of the family assigning ``indices`` to the
+    labels in its order: by length, then lexicographically."""
+    labels = [lab for n in range(depth + 1) for lab in itertools.product(range(l), repeat=n)]
+    return {"k": k, "l": l, "depth": depth, "strong": strong,
+            "assign": {".".join(map(str, lab)): i for lab, i in zip(labels, indices)}}
+
+
+# The polarized depth-6 family found by the 1-D search path.
+_POLARIZED_6 = [
+    63, 31, 95, 15, 47, 79, 111, 7, 23, 39, 55, 71, 87, 103, 119, 3, 11, 19, 27, 35, 43, 51,
+    59, 67, 75, 83, 91, 99, 107, 115, 123, 1, 5, 9, 13, 17, 21, 25, 29, 33, 37, 41, 45, 49, 53,
+    57, 61, 65, 69, 73, 77, 81, 85, 89, 93, 97, 101, 105, 109, 113, 117, 121, 125,
+    *range(0, 127, 2)]
+
+
+class TestFrozenSearch:
+    """Expansion counts, outcomes and families recorded from an earlier
+    implementation; a refactor of the search must leave all of them alone."""
+
+    @pytest.mark.parametrize("strong,expected", [
+        (False, (190, "found", _family_dict(2, 2, 6, False, _POLARIZED_6))),
+        (True, (128, "absent", None)),
+    ])
+    def test_polarized_depth_6(self, strong, expected):
+        cloud = polarized_example_cloud(6)
+        assert _outcome(search_regular(cloud, 2, 2, 6, strong=strong)) == expected
+
+    @pytest.mark.parametrize("strong,budget,expected", [
+        (False, 100_000, (5045, "found", _family_dict(
+            3, 4, 2, False,
+            [21, 4, 12, 112, 120, 3, 4, 5, 20, 11, 12, 13, 28, 96, 112, 113, 128,
+             104, 119, 120, 121]))),
+        (True, 100_000, (2109, "absent", None)),
+        (False, 1000, (1001, "exhausted", None)),
+        (True, 1000, (1001, "exhausted", None)),
+    ])
+    def test_grid_2d_generic_path(self, strong, budget, expected):
+        # a 2-D cloud takes the generic depth-first child search
+        res = search_regular(_grid_2d(), 3, 4, 2, strong=strong, budget=budget)
+        assert _outcome(res) == expected
+
+    def test_tree_depth_scan(self):
+        cloud = embed_tree(FiniteTree.full_tree(3, 2))
+        assert max_regular_depth(cloud, 2, 2, 5) == (3, False)
+
+    @pytest.mark.parametrize("tol,cutoff,verdict", [
+        (TOL, 20, True), (TOL, 4, True), (0.2, 20, False), (0.26, 20, True),
+        (0.26, 4, False), (0.5, 20, False)])
+    def test_tree_scaling_verdicts(self, tol, cutoff, verdict):
+        # at cutoff 4 the probes fall back on the separated-family bound
+        cloud = embed_tree(FiniteTree.full_tree(4, 2))
+        fam = search_regular(cloud, 2, 2, 4).family
+        assert certificate_scaling_check(cloud, fam, tol=tol, exact_cutoff=cutoff) is verdict
+
+
+@pytest.fixture
+def subset_count(monkeypatch):
+    """Counts every ``Subset`` constructed while the test runs."""
+    count = [0]
+    post_init = cloud_module.Subset.__post_init__
+
+    def counting(self):
+        count[0] += 1
+        post_init(self)
+
+    monkeypatch.setattr(cloud_module.Subset, "__post_init__", counting)
+    return count
+
+
+class TestIndexArraysInside:
+    """Search, the scaling check and the greedy estimate pass index arrays
+    around; a ``Subset`` is built only where a public function returns one."""
+
+    @pytest.mark.parametrize("cloud,k,l,depth", [
+        (polarized_example_cloud(6), 2, 2, 6), (_grid_2d(), 3, 4, 2)])
+    @pytest.mark.parametrize("strong", [False, True])
+    def test_search_builds_no_subset(self, subset_count, cloud, k, l, depth, strong):
+        search_regular(cloud, k, l, depth, strong=strong)
+        assert subset_count[0] == 0
+
+    def test_scaling_check_builds_only_the_level(self, subset_count):
+        cloud = embed_tree(FiniteTree.full_tree(4, 2))
+        fam = search_regular(cloud, 2, 2, 4).family
+        assert certificate_scaling_check(cloud, fam) is True
+        assert subset_count[0] == 1     # level_points' deepest level
+
+    def test_greedy_estimate_builds_no_subset(self, subset_count):
+        cells = np.random.default_rng(5).choice(64 * 64, size=60, replace=False)
+        cloud = PointCloud(np.stack([cells // 64, cells % 64], axis=1) / 64.0)
+        cloud.diam()     # the cached diameter builds one Subset of the whole cloud
+        subset_count[0] = 0
+        lower_dim_estimate(cloud, ScaleWindow(1 / 32, 1 / 2), mode="greedy")
+        assert subset_count[0] == 0
