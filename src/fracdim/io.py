@@ -1,57 +1,154 @@
 """File formats and canonical serialization.
 
 All JSON written by this package goes through :func:`dumps_canonical`,
-which renders floats with 17 significant digits and preserves key order,
-so identical runs produce byte-identical artifacts.
+which preserves key order and renders every float in one canonical form:
+integer-valued floats below 1e16 as ``x.0``, all others with 17
+significant digits, non-finite values rejected.  Identical runs therefore
+produce byte-identical artifacts.  The ``estimate --csv`` table uses the
+same float text.
+
+Each call formats a distinct float once (``_float_format``) and writes a
+list of dicts that share one key order, such as the estimate table, from
+a row template built once, formatting each row's scalars inline.  The
+encoder this replaced, which recursed through ``dumps_canonical`` once per
+value, is kept in ``tests/oracles.py``; the tests require byte-identical
+output and the same exception types on random nested documents.
 """
 from __future__ import annotations
 
 import csv
 import json
+import math
+from json.encoder import encode_basestring_ascii as _quote
 from typing import List
 
 import numpy as np
 
 from .cloud import PointCloud
-from .config import _JSON_CHECKS
 from .lowerdim import EstimateReport
 from .regular import RegularFamily
 from .trees import FiniteTree
 
 
 def _fmt_float(x: float) -> str:
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         raise ValueError("cannot serialize non-finite float")
     if x == int(x) and abs(x) < 1e16:
         return f"{x:.1f}"
     return format(x, ".17g")
 
 
-def dumps_canonical(obj, indent: int = 0, _level: int = 0) -> str:
-    pad = " " * (indent * (_level + 1)) if indent else ""
-    closing = " " * (indent * _level) if indent else ""
-    nl = "\n" if indent else ""
-    sep = "," + nl + pad if indent else ", "
-    if obj is None or isinstance(obj, bool):
-        return json.dumps(obj)
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt_float(float(obj))
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        items = [dumps_canonical(x, indent, _level + 1) for x in obj]
+def _float_format():
+    """``_fmt_float`` that formats each distinct value once over its own lifetime."""
+    cache = {}
+
+    def fmt(x: float) -> str:
+        text = cache.get(x)
+        if text is None:
+            text = _fmt_float(x)
+            if x:   # 0.0 and -0.0 are equal keys but print differently
+                cache[x] = text
+        return text
+
+    return fmt
+
+
+class _Encoder:
+    """One ``dumps_canonical`` call: its indent and its float cache."""
+
+    def __init__(self, indent: int):
+        self.indent = indent
+        self.float = _float_format()
+
+    def layout(self, level: int) -> tuple:
+        """(after the open bracket, between items, before the close bracket)."""
+        if not self.indent:
+            return "", ", ", ""
+        pad = "\n" + " " * (self.indent * (level + 1))
+        return pad, "," + pad, "\n" + " " * (self.indent * level)
+
+    def encode(self, obj, level: int) -> str:
+        kind = type(obj)
+        if kind is float:
+            return self.float(obj)
+        if kind is int:
+            return str(obj)
+        if kind is str:
+            return _quote(obj)
+        if obj is None:
+            return "null"
+        if kind is list or kind is tuple:
+            return self.sequence(obj, level)
+        if kind is dict:
+            return self.mapping(obj, level)
+        if isinstance(obj, bool):
+            return "true" if obj else "false"
+        if isinstance(obj, (int, np.integer)):
+            return str(int(obj))
+        if isinstance(obj, (float, np.floating)):
+            return self.float(float(obj))
+        if isinstance(obj, str):
+            return _quote(obj)
+        if isinstance(obj, (list, tuple, np.ndarray)):
+            return self.sequence(obj, level)
+        if isinstance(obj, dict):
+            return self.mapping(obj, level)
+        raise TypeError(f"cannot serialize {kind.__name__}")
+
+    def sequence(self, obj, level: int) -> str:
+        keys = _record_keys(obj)
+        if keys:
+            items = self.records(obj, keys, level + 1)
+        else:
+            items = [self.encode(x, level + 1) for x in obj]
         if not items:
             return "[]"
-        return "[" + nl + pad + sep.join(items) + nl + closing + "]"
-    if isinstance(obj, dict):
-        items = [json.dumps(str(k)) + ": " + dumps_canonical(v, indent, _level + 1)
-                 for k, v in obj.items()]
+        first, sep, last = self.layout(level)
+        return "[" + first + sep.join(items) + last + "]"
+
+    def mapping(self, obj, level: int) -> str:
+        items = [_quote(str(k)) + ": " + self.encode(v, level + 1) for k, v in obj.items()]
         if not items:
             return "{}"
-        return "{" + nl + pad + sep.join(items) + nl + closing + "}"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+        first, sep, last = self.layout(level)
+        return "{" + first + sep.join(items) + last + "}"
+
+    def records(self, rows: list, keys: tuple, level: int) -> List[str]:
+        """Dicts with key order ``keys`` at ``level``: one template, scalars inline."""
+        first, sep, last = self.layout(level)
+        heads = [_quote(str(k)) + ": " for k in keys]
+        pieces = ["{" + first + heads[0]] + [sep + h for h in heads[1:]] + [last + "}"]
+        template = "{}".join(p.replace("{", "{{").replace("}", "}}") for p in pieces)
+        fmt, encode, inner = self.float, self.encode, level + 1
+        out = []
+        for row in rows:
+            values = []
+            for v in row.values():
+                kind = type(v)
+                if kind is float:
+                    values.append(fmt(v))
+                elif kind is int:
+                    values.append(str(v))
+                else:
+                    values.append(encode(v, inner))
+            out.append(template.format(*values))
+        return out
+
+
+def _record_keys(obj) -> tuple:
+    """The shared key tuple if ``obj`` is a list or tuple of plain dicts that
+    all have the same non-empty keys in the same order, else ``()``."""
+    if not (type(obj) is list or type(obj) is tuple) or not obj or type(obj[0]) is not dict:
+        return ()
+    keys = tuple(obj[0])
+    for row in obj:
+        if type(row) is not dict or tuple(row) != keys:
+            return ()
+    return keys
+
+
+def dumps_canonical(obj, indent: int = 0) -> str:
+    return _Encoder(indent).encode(obj, 0)
 
 
 def write_json(obj, path: str, indent: int = 2) -> None:
@@ -129,12 +226,8 @@ def write_tree(tree: FiniteTree, path: str) -> None:
 def read_tree(path: str) -> FiniteTree:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    if not isinstance(data, list):
+    if not (isinstance(data, list) and all(isinstance(node, list) for node in data)):
         raise ValueError("tree file must hold a JSON list of integer arrays")
-    is_int = _JSON_CHECKS["an integer"]
-    for node in data:
-        if not (isinstance(node, list) and all(is_int(x) for x in node)):
-            raise ValueError(f"tree node {json.dumps(node)} must be a list of integers")
     return FiniteTree(data)
 
 
@@ -148,5 +241,6 @@ def write_report_csv(report: EstimateReport, path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["center", "R", "r", "count", "exponent"])
+        fmt = _float_format()
         for (c, R, r, n, e) in report.table:
-            writer.writerow([c, _fmt_float(R), _fmt_float(r), n, _fmt_float(e)])
+            writer.writerow([c, fmt(R), fmt(r), n, fmt(e)])

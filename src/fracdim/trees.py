@@ -66,7 +66,11 @@ class FiniteTree:
     def __init__(self, nodes: Iterable[Sequence[int]]):
         seen = set()
         for node in nodes:
-            tup = tuple(int(x) for x in node)
+            entries = tuple(node)
+            if not all(isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+                       for x in entries):
+                raise ValueError(f"tree node {node!r} must hold integers")
+            tup = tuple(int(x) for x in entries)
             if any(x < 0 for x in tup):
                 raise ValueError("node labels must be nonnegative integers")
             seen.add(tup)

@@ -7,6 +7,8 @@ expected values computed here.
 """
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
 
@@ -187,3 +189,40 @@ def separated_family_oracle(dmat: np.ndarray, r: float, tol: float = 1e-12) -> l
         if all(dmat[i, c] > r + tol for c in chosen):
             chosen.append(i)
     return chosen
+
+
+def _fmt_float(x: float) -> str:
+    if not np.isfinite(x):
+        raise ValueError("cannot serialize non-finite float")
+    if x == int(x) and abs(x) < 1e16:
+        return f"{x:.1f}"
+    return format(x, ".17g")
+
+
+def canonical_json_oracle(obj, indent: int = 0, _level: int = 0) -> str:
+    """The canonical JSON encoder as it was before the fast one: one
+    recursive call per value, no caching and no special cases."""
+    pad = " " * (indent * (_level + 1)) if indent else ""
+    closing = " " * (indent * _level) if indent else ""
+    nl = "\n" if indent else ""
+    sep = "," + nl + pad if indent else ", "
+    if obj is None or isinstance(obj, bool):
+        return json.dumps(obj)
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return _fmt_float(float(obj))
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        items = [canonical_json_oracle(x, indent, _level + 1) for x in obj]
+        if not items:
+            return "[]"
+        return "[" + nl + pad + sep.join(items) + nl + closing + "]"
+    if isinstance(obj, dict):
+        items = [json.dumps(str(k)) + ": " + canonical_json_oracle(v, indent, _level + 1)
+                 for k, v in obj.items()]
+        if not items:
+            return "{}"
+        return "{" + nl + pad + sep.join(items) + nl + closing + "}"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")

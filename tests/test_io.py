@@ -2,11 +2,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracdim import (FiniteTree, PointCloud, RegularFamily, ScaleWindow,
                      cantor_cloud, dyadic_interval_cloud, lower_dim_estimate,
                      search_regular)
 from fracdim import io
+from oracles import canonical_json_oracle
 
 
 class TestCanonicalJson:
@@ -31,6 +34,136 @@ class TestCanonicalJson:
     def test_numpy_scalars(self):
         assert io.dumps_canonical(np.int64(4)) == "4"
         assert io.dumps_canonical(np.float64(0.25)) == "0.25"
+        assert io.dumps_canonical(np.float32(0.1)) == "0.10000000149011612"
+        with pytest.raises(TypeError, match="cannot serialize bool"):
+            io.dumps_canonical(np.bool_(True))
+
+    def test_negative_zero(self):
+        assert io.dumps_canonical(-0.0) == "-0.0"
+        assert io.dumps_canonical(
+            [{"a": 0.0}, {"a": -0.0}, {"a": 0.0}, {"a": -0.0}]
+        ) == '[{"a": 0.0}, {"a": -0.0}, {"a": 0.0}, {"a": -0.0}]'
+        assert io.dumps_canonical([-0.0, 0.0, -0.0]) == "[-0.0, 0.0, -0.0]"
+
+    def test_large_integer_valued_floats(self):
+        assert io.dumps_canonical(1e16) == "10000000000000000"
+        assert io.dumps_canonical(1e16 - 2) == "9999999999999998.0"
+        assert io.dumps_canonical(2.0 ** 53 + 2) == "9007199254740994.0"
+
+    @pytest.mark.parametrize("obj, flat, indented", [
+        (np.array([[1.0, 2], [3, 4.5]]), "[[1.0, 2.0], [3.0, 4.5]]",
+         "[\n  [\n    1.0,\n    2.0\n  ],\n  [\n    3.0,\n    4.5\n  ]\n]"),
+        ((1, "a", None), '[1, "a", null]', '[\n  1,\n  "a",\n  null\n]'),
+        ({1: 2}, '{"1": 2}', '{\n  "1": 2\n}'),
+        ([], "[]", "[]"),
+        ({}, "{}", "{}"),
+        ([[], {}], "[[], {}]", "[\n  [],\n  {}\n]"),
+    ])
+    def test_containers(self, obj, flat, indented):
+        assert io.dumps_canonical(obj) == flat
+        assert io.dumps_canonical(obj, indent=2) == indented
+
+    def test_string_escapes(self):
+        text = 'tab\t"q"\\ \u00e9 \u65e5\U0001F600'
+        expected = '"tab\\t\\"q\\"\\\\ \\u00e9 \\u65e5\\ud83d\\ude00"'
+        assert io.dumps_canonical(text) == expected
+        assert io.dumps_canonical([{text: text}, {text: 1}], indent=2) == (
+            "[\n  {\n    " + expected + ": " + expected + "\n  },\n"
+            "  {\n    " + expected + ": 1\n  }\n]")
+        assert io.dumps_canonical([{"{a}": 1}, {"{a}": "}{"}]) == '[{"{a}": 1}, {"{a}": "}{"}]'
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_nonfinite_in_records_rejected(self, bad):
+        with pytest.raises(ValueError):
+            io.dumps_canonical([{"a": 1.0, "b": 2}, {"a": bad, "b": 3}], indent=2)
+
+    def test_records_that_differ(self):
+        assert io.dumps_canonical([{"a": 1, "b": 2.5}, {"b": 1, "a": 2}], indent=2) == (
+            '[\n  {\n    "a": 1,\n    "b": 2.5\n  },\n  {\n    "b": 1,\n    "a": 2\n  }\n]')
+        assert io.dumps_canonical([{"a": 1, "b": 2.5}, {"a": 2}], indent=2) == (
+            '[\n  {\n    "a": 1,\n    "b": 2.5\n  },\n  {\n    "a": 2\n  }\n]')
+
+    def test_records_with_nested_values(self):
+        rows = [{"a": [1, {"x": 0.5}], "b": {"c": []}}, {"a": {}, "b": (2,)}]
+        assert io.dumps_canonical(rows, indent=2) == (
+            '[\n  {\n    "a": [\n      1,\n      {\n        "x": 0.5\n      }\n    ],\n'
+            '    "b": {\n      "c": []\n    }\n  },\n'
+            '  {\n    "a": {},\n    "b": [\n      2\n    ]\n  }\n]')
+        assert io.dumps_canonical(rows) == (
+            '[{"a": [1, {"x": 0.5}], "b": {"c": []}}, {"a": {}, "b": [2]}]')
+
+
+# Floats the formatter treats specially: signed zeros, subnormals, integer
+# values on either side of 1e16 and of 2^53.
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 0.1, 2 / 3,
+                1e16, -1e16, 1e16 - 2, 1e16 + 2, 2.0 ** 53, 2.0 ** 53 + 2, 1e300]
+_KEYS = st.text(max_size=4) | st.sampled_from(["{", "}", "{}", 'a"b', "\u00e9"])
+
+
+def _scalars(finite: bool):
+    floats = (st.floats(allow_nan=not finite, allow_infinity=not finite)
+              | st.sampled_from(_EDGE_FLOATS)
+              | st.integers(-2 ** 60, 2 ** 60).map(float))
+    float32 = st.floats(width=32, allow_nan=not finite, allow_infinity=not finite)
+    scalars = (st.none() | st.booleans() | st.integers() | floats | st.text(max_size=6)
+               | st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64)
+               | floats.map(np.float64) | float32.map(np.float32))
+    if not finite:
+        scalars = scalars | st.booleans().map(np.bool_)
+    arrays = (st.lists(floats, max_size=4)
+              | st.lists(st.lists(floats, min_size=2, max_size=2), min_size=1, max_size=3)
+              ).map(np.array)
+    return scalars | arrays
+
+
+@st.composite
+def _record_list(draw, children):
+    """Dicts that share one key order, sometimes with one row that breaks it."""
+    keys = draw(st.lists(_KEYS, min_size=1, max_size=4, unique=True))
+
+    def row(keys):
+        return dict(zip(keys, draw(st.lists(children, min_size=len(keys),
+                                            max_size=len(keys)))))
+
+    rows = [row(keys) for _ in range(draw(st.integers(1, 5)))]
+    if draw(st.booleans()):
+        odd = draw(st.sampled_from([keys[::-1], keys[:-1], keys + ["extra"]]))
+        rows.insert(draw(st.integers(0, len(rows))), row(odd))
+    return draw(st.sampled_from([rows, tuple(rows)]))
+
+
+def _documents(finite: bool):
+    return st.recursive(
+        _scalars(finite),
+        lambda children: (st.lists(children, max_size=4)
+                          | st.lists(children, max_size=4).map(tuple)
+                          | st.dictionaries(_KEYS | st.integers(-3, 3), children, max_size=4)
+                          | _record_list(children)),
+        max_leaves=30)
+
+
+def _outcome(encode, doc, indent):
+    try:
+        return encode(doc, indent=indent)
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+
+
+class TestCanonicalJsonOracle:
+    """The encoder against the one it replaced, byte for byte."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_documents(finite=True))
+    def test_finite_documents(self, doc):
+        for indent in (0, 2):
+            assert io.dumps_canonical(doc, indent=indent) == canonical_json_oracle(doc, indent)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_documents(finite=False))
+    def test_error_paths(self, doc):
+        for indent in (0, 2):
+            assert (_outcome(io.dumps_canonical, doc, indent)
+                    == _outcome(canonical_json_oracle, doc, indent))
 
 
 class TestCloudFiles:
@@ -118,3 +251,7 @@ class TestReportFiles:
         lines = (tmp_path / "rep.csv").read_text().strip().splitlines()
         assert lines[0] == "center,R,r,count,exponent"
         assert len(lines) == len(report.table) + 1
+        for line, (c, R, r, n, e) in zip(lines[1:], report.table):
+            assert line == ",".join([str(c), canonical_json_oracle(R),
+                                     canonical_json_oracle(r), str(n),
+                                     canonical_json_oracle(e)])

@@ -21,6 +21,16 @@ class TestFiniteTree:
         tree = FiniteTree([(), (2,), (0,), (0, 5), (0, 1)])
         assert tree.nodes == ((), (0,), (2,), (0, 1), (0, 5))
 
+    @pytest.mark.parametrize("node", [(0.7,), (True,), ("0",), (np.bool_(True),)])
+    def test_non_integer_entries_rejected(self, node):
+        with pytest.raises(ValueError, match="must hold integers"):
+            FiniteTree([(), node])
+
+    def test_numpy_integer_entries_accepted(self):
+        tree = FiniteTree([(), (np.int64(1),)])
+        assert tree.nodes == ((), (1,))
+        assert all(type(x) is int for x in tree.nodes[1])
+
     def test_helpers(self):
         assert len(FiniteTree.single_branch(4)) == 5
         assert len(FiniteTree.full_tree(2, 3)) == 13
