@@ -6,8 +6,8 @@ classic "interval plus an isolated point" example and measures it.
 """
 import numpy as np
 
-from fracdim import (PointCloud, closed_ball, diameter, distance,
-                     hausdorff_distance, interval_plus_point_cloud)
+from fracdim import (PointCloud, closed_ball, diameter, hausdorff_distance,
+                     interval_plus_point_cloud)
 
 cloud = interval_plus_point_cloud(6)
 print(f"cloud: {cloud.n} points, metric={cloud.metric}, diameter={cloud.diam()}")
@@ -15,7 +15,7 @@ print(f"cloud: {cloud.n} points, metric={cloud.metric}, diameter={cloud.diam()}"
 # the isolated point sits one unit away from the grid
 i_one = int(np.flatnonzero(cloud.coords[:, 0] == 1.0)[0])
 i_two = cloud.n - 1
-print(f"d(1.0, 2.0) = {distance(cloud, i_one, i_two)}")
+print(f"d(1.0, 2.0) = {cloud.distance(i_one, i_two)}")
 
 # closed balls include their boundary
 ball = closed_ball(cloud, i_two, 0.99)

@@ -1,8 +1,7 @@
 """fracdim: covering/packing numbers, scale-window lower-dimension estimates,
 and (k, l)-regular certificates on finite metric point clouds."""
 
-from .cloud import (PointCloud, Subset, closed_ball, diameter, distance,
-                    hausdorff_distance)
+from .cloud import PointCloud, Subset, closed_ball, diameter, hausdorff_distance
 from .config import (DEFAULT_BUDGET, DEFAULT_EXACT_CUTOFF, DEFAULT_TOL,
                      RunConfig)
 from .covering import (CoverResult, PackResult, covering_number,
@@ -24,8 +23,7 @@ from .trees import (FiniteTree, SparseVec, branch_family, coordinate_index,
 __version__ = "0.1.0"
 
 __all__ = [
-    "PointCloud", "Subset", "closed_ball", "diameter", "distance",
-    "hausdorff_distance",
+    "PointCloud", "Subset", "closed_ball", "diameter", "hausdorff_distance",
     "RunConfig", "DEFAULT_TOL", "DEFAULT_EXACT_CUTOFF", "DEFAULT_BUDGET",
     "CoverResult", "PackResult", "covering_number", "packing_number",
     "maximal_separated_family", "validate_cover", "validate_packing",

@@ -266,7 +266,7 @@ def _validated_coords(points) -> np.ndarray:
     arr = np.array(points, dtype=float)
     if arr.ndim == 1:
         arr = arr[:, None]
-    if arr.ndim != 2 or arr.shape[0] == 0:
+    if arr.ndim != 2 or arr.size == 0:
         raise ValueError("points must form a non-empty 2-D array")
     if not np.all(np.isfinite(arr)):
         raise ValueError("points must be finite")
@@ -303,11 +303,6 @@ def _validated_matrix(m: np.ndarray, tol: float) -> np.ndarray:
         if np.any(m[i, k] > m[i, j] + m[j, k] + tol):
             raise ValueError("triangle inequality violated (sampled)")
     return m
-
-
-def distance(cloud: PointCloud, i: int, j: int) -> float:
-    """Distance between points ``i`` and ``j`` under the cloud's metric."""
-    return cloud.distance(i, j)
 
 
 def diameter(cloud: PointCloud, subset: Optional[Subset] = None) -> float:

@@ -26,6 +26,7 @@ _JSON_CHECKS = {
     "a boolean": lambda v: isinstance(v, bool),
     "a string": lambda v: isinstance(v, str),
     "an object": lambda v: isinstance(v, dict),
+    "a list": lambda v: isinstance(v, list),
     "a list of two": lambda v: isinstance(v, list) and len(v) == 2,
 }
 

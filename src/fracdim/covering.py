@@ -20,13 +20,16 @@ first part under ``d > r + tol`` is a separated family (a certified lower
 bound on the covering number); the first part under ``d >= sep - tol`` is
 the greedy packing.  Subsets of up to 2,896 points hold the relation as one
 bitset per row; larger ones compute each new member's distances to the
-remaining candidates only.  Private helpers take index arrays, and
+remaining candidates only.  The exact solvers build one bitset relation per
+solve and nothing else: the cover search tests a part against a row with
+one AND, and its greedy upper bound and separated lower bound are scans of
+those rows and of their complement.  Private helpers take index arrays, and
 witnesses are reproducible across runs and platforms.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 
@@ -117,31 +120,26 @@ def _sweep_pack(coords: np.ndarray, sep: float, tol: float) -> np.ndarray:
         chosen.append(pos)
 
 
-def _bit_rows(mask: np.ndarray) -> List[int]:
-    """Each row of a boolean matrix as a Python integer whose bit u is column u."""
-    packed = np.packbits(mask, axis=1, bitorder="little")
-    width = packed.shape[1]
-    data = packed.tobytes()
-    return [int.from_bytes(data[t * width:(t + 1) * width], "little")
-            for t in range(len(packed))]
+def _relation_rows(cloud: PointCloud, idx: np.ndarray, related) -> List[int]:
+    """Row t of a relation on the points ``idx`` as a Python integer whose bit u
+    is set when ``idx[t]`` and ``idx[u]`` are related.  ``related`` maps a
+    block of distances to a boolean block; rows are packed one block at a
+    time, so no m x m matrix is held, and no bit at or above m is set."""
+    rows = []
+    for _, block in cloud._blocks(idx):
+        packed = np.packbits(related(block), axis=1, bitorder="little")
+        width = packed.shape[1]
+        data = packed.tobytes()
+        rows.extend(int.from_bytes(data[t * width:(t + 1) * width], "little")
+                    for t in range(len(packed)))
+    return rows
 
 
-def _greedy_parts(cloud: PointCloud, idx: np.ndarray, related) -> List[np.ndarray]:
-    """Greedy parts of the points ``idx`` under ``related``, which maps a block
-    of distances (rows: members, columns: candidates) to a boolean block.
-
-    A part starts at the first uncovered point in the order of ``idx``; the
-    first uncovered point after its last member that is related to every
-    member joins next.  While m^2 <= ``_DENSE_CAP`` the relation is built up
-    front as one Python-integer bitset per row (at most 1 MB); a larger
-    subset computes each new member's distances to the remaining candidates
-    only (O(m) memory, no distance matrix).
-    """
-    if idx.size * idx.size > _cloud._DENSE_CAP:
-        return _greedy_parts_by_candidates(cloud, idx, related)
-    rows = [row for _, block in cloud._blocks(idx) for row in _bit_rows(related(block))]
-    uncovered = (1 << idx.size) - 1
-    members = []    # positions of every part's members, part after part
+def _scan(rows: List[int]) -> Tuple[List[int], List[int]]:
+    """The greedy scan (see the module docstring) over bitset ``rows``, as
+    (members, ends): part i holds the positions ``members[ends[i]:ends[i + 1]]``."""
+    uncovered = (1 << len(rows)) - 1
+    members = []
     ends = [0]
     while uncovered:
         allowed = uncovered     # the part's candidates, as bits
@@ -152,6 +150,20 @@ def _greedy_parts(cloud: PointCloud, idx: np.ndarray, related) -> List[np.ndarra
             uncovered ^= low
             allowed = (allowed ^ low) & rows[t]
         ends.append(len(members))
+    return members, ends
+
+
+def _greedy_parts(cloud: PointCloud, idx: np.ndarray, related) -> List[np.ndarray]:
+    """Greedy parts (:func:`_scan`) of the points ``idx``, in their order, under
+    ``related`` (see :func:`_relation_rows`).
+
+    While m^2 <= ``_DENSE_CAP`` the relation is built up front as bitset
+    rows (at most 1 MB); a larger subset computes each new member's
+    distances to the remaining candidates only (O(m) memory).
+    """
+    if idx.size * idx.size > _cloud._DENSE_CAP:
+        return _greedy_parts_by_candidates(cloud, idx, related)
+    members, ends = _scan(_relation_rows(cloud, idx, related))
     flat = idx[members]
     return [flat[a:b] for a, b in zip(ends, ends[1:])]
 
@@ -198,71 +210,64 @@ def _bb_min_clique_cover(cloud: PointCloud, idx: np.ndarray, r: float,
 
     Vertices are assigned in index order to an existing compatible part or a
     fresh one; a fixed exploration order keeps the witness deterministic.
+    The greedy cover is the first upper bound; the first greedy part of the
+    complement relation (d > r + tol) is a separated lower bound.
     """
     m = idx.size
     if m == 0:
         return []
-    compat = cloud.pairwise(idx) <= r + tol
+    rows = _relation_rows(cloud, idx, lambda d: d <= r + tol)
+    members, ends = _scan(rows)
+    best = [sum(1 << t for t in members[a:b]) for a, b in zip(ends, ends[1:])]
+    full = (1 << m) - 1
+    _, far_ends = _scan([full ^ row for row in rows])
 
-    best_parts = [[int(v) for v in np.searchsorted(idx, part)]
-                  for part in _greedy_cover_parts(cloud, idx, r, tol)]
-    best = len(best_parts)
-    lb = len(_separated_lower_bound(cloud, idx, r, tol))
-    if best == lb:
-        return [idx[np.asarray(sorted(p))] for p in best_parts]
-
-    parts: List[List[int]] = []
-    out: List[List[List[int]]] = [best_parts]
-    best_box = [best]
+    parts: List[int] = []
 
     def dfs(v: int) -> None:
-        if len(parts) >= best_box[0]:
+        nonlocal best
+        if len(parts) >= len(best):
             return
         if v == m:
-            if len(parts) < best_box[0]:
-                best_box[0] = len(parts)
-                out[0] = [list(p) for p in parts]
+            best = list(parts)
             return
-        for p in parts:
-            if all(compat[v, u] for u in p):
-                p.append(v)
+        bit = 1 << v
+        for j in range(len(parts)):
+            part = parts[j]
+            if rows[v] & part == part:
+                parts[j] = part | bit
                 dfs(v + 1)
-                p.pop()
-        if len(parts) + 1 < best_box[0]:
-            parts.append([v])
+                parts[j] = part
+        if len(parts) + 1 < len(best):
+            parts.append(bit)
             dfs(v + 1)
             parts.pop()
 
-    dfs(0)
-    return [idx[np.asarray(sorted(p))] for p in out[0]]
+    if len(best) > far_ends[1]:     # else greedy meets the lower bound
+        dfs(0)
+    return [idx[[u for u in range(m) if part >> u & 1]] for part in best]
 
 
 def _bb_max_separated(cloud: PointCloud, idx: np.ndarray, sep: float,
                       tol: float) -> np.ndarray:
     """Exact maximum family in ``idx`` with pairwise distance >= sep, branch-and-bound."""
     m = idx.size
-    if m == 0:
-        return idx.copy()
-    ok = cloud.pairwise(idx) >= sep - tol
-    np.fill_diagonal(ok, False)
+    rows = _relation_rows(cloud, idx, lambda d: d >= sep - tol)
+    best, best_size = 0, 0      # the largest family so far, as a bitset
 
-    best_set: List[int] = []
-
-    def dfs(v: int, chosen: List[int]) -> None:
-        if len(chosen) + (m - v) <= len(best_set):
+    def dfs(v: int, chosen: int, size: int) -> None:
+        nonlocal best, best_size
+        if size + (m - v) <= best_size:
             return
         if v == m:
-            if len(chosen) > len(best_set):
-                best_set[:] = chosen
+            best, best_size = chosen, size
             return
-        if all(ok[v, u] for u in chosen):
-            chosen.append(v)
-            dfs(v + 1, chosen)
-            chosen.pop()
-        dfs(v + 1, chosen)
+        if rows[v] & chosen == chosen:  # v itself is never in chosen
+            dfs(v + 1, chosen | 1 << v, size + 1)
+        dfs(v + 1, chosen, size)
 
-    dfs(0, [])
-    return idx[np.asarray(sorted(best_set), dtype=np.int64)]
+    dfs(0, 0, 0)
+    return idx[np.asarray([u for u in range(m) if best >> u & 1], dtype=np.int64)]
 
 
 def covering_number(subset: Subset, r: float, mode: str = "auto",

@@ -14,7 +14,7 @@ import numpy as np
 
 from .cloud import PointCloud, Subset
 from .config import DEFAULT_TOL, _checked_object
-from .regular import RegularFamily, parse_label
+from .regular import RegularFamily, label_str, parse_label
 
 
 def cantor_cloud(level: int) -> PointCloud:
@@ -76,8 +76,7 @@ def polarized_example_cloud(depth: int) -> PointCloud:
     if len(coords) != len(values):
         raise AssertionError("polarized values collided; generator bug")
     index_of_value = {v: i for i, v in enumerate(coords)}
-    labels = {".".join(str(c) for c in lab): index_of_value[v]
-              for lab, v in values.items()}
+    labels = {label_str(lab): index_of_value[v] for lab, v in values.items()}
     return PointCloud(np.asarray(coords), metric="euclidean",
                       meta={"kind": "polarized", "depth": depth, "labels": labels})
 

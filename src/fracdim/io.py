@@ -19,12 +19,14 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 from json.encoder import encode_basestring_ascii as _quote
 from typing import List
 
 import numpy as np
 
 from .cloud import PointCloud
+from .config import _JSON_CHECKS, _checked_object
 from .lowerdim import EstimateReport
 from .regular import RegularFamily
 from .trees import FiniteTree
@@ -161,21 +163,28 @@ def write_json(obj, path: str, indent: int = 2) -> None:
 
 def cloud_to_dict(cloud: PointCloud) -> dict:
     if cloud.metric == "matrix":
-        return {"metric": "matrix", "matrix": [list(row) for row in cloud.matrix]}
-    return {"metric": cloud.metric, "points": [list(row) for row in cloud.coords]}
+        return {"metric": "matrix", "matrix": cloud.matrix.tolist()}
+    return {"metric": cloud.metric, "points": cloud.coords.tolist()}
 
 
 def cloud_from_dict(data: dict) -> PointCloud:
-    if not isinstance(data, dict) or "metric" not in data:
-        raise ValueError("cloud file must hold an object with a 'metric' field")
-    metric = data["metric"]
-    if metric == "matrix":
-        if "matrix" not in data:
-            raise ValueError("matrix clouds need a 'matrix' field")
-        return PointCloud.from_matrix(data["matrix"])
-    if "points" not in data:
-        raise ValueError("coordinate clouds need a 'points' field")
-    return PointCloud(data["points"], metric=metric)
+    """The cloud a JSON object describes; malformed input raises ValueError.
+
+    Coordinate clouds hold ``metric`` and ``points`` (rows of numbers, or
+    numbers for a 1-D cloud); matrix clouds hold ``metric`` and ``matrix``.
+    """
+    key = "matrix" if isinstance(data, dict) and data.get("metric") == "matrix" else "points"
+    data = _checked_object(data, "cloud", {"metric": "a string", key: "a list"},
+                           required=("metric", key))
+    number = _JSON_CHECKS["a number"]
+    rows = data[key]
+    entries = (x for row in rows for x in (row if isinstance(row, list) else [row]))
+    # the bound also refuses integers too large for a float
+    if not all(number(x) and abs(x) <= sys.float_info.max for x in entries):
+        raise ValueError(f"cloud field {key!r} must hold only finite numbers")
+    if key == "matrix":
+        return PointCloud.from_matrix(rows)
+    return PointCloud(rows, metric=data["metric"])
 
 
 def write_cloud(cloud: PointCloud, path: str) -> None:

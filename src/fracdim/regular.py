@@ -401,30 +401,25 @@ def certificate_scaling_check(cloud: PointCloud, family: RegularFamily,
     lower-bounded by certified quantities only, never by greedy covers.
     On sorted 1-D clouds a ball meets the sorted deepest level in a
     contiguous run, so every probe's exact count comes from the covering
-    sweep's doubling table.
+    sweep's doubling table.  Other clouds read each deepest-level point's
+    distance row to the deepest level once, streamed a block at a time, and
+    take every probe's ball from it; its entries equal ``distances_from``'s
+    bit for bit.
     """
     report = verify_regular(cloud, family, tol)
     if not report.ok:
         raise ValueError("certificate_scaling_check requires a verified family")
     k, l, depth = family.k, family.l, family.depth
-    deepest = level_points(family, depth, cloud)
-    coords = deepest.coords_1d() if cloud.sorted_1d else None
-    for n in range(1, depth):
-        for m in range(0, depth - n):
-            rep_pairs = (
-                (2.0 ** (-k * n + 2), 2.0 ** (-k * (n + m))),          # hard corner
-                (2.0 ** (-k * (n - 1) + 1), 2.0 ** (-k * (n + m + 1) + 1)),  # outer corner
-            )
-            needed = l ** m
-            if cloud.sorted_1d:
-                if any(int(_ball_cover_counts_1d(coords, R, r, tol).min()) < needed
-                       for R, r in rep_pairs):
-                    return False
-                continue
-            for x in deepest.indices:
-                for R, r in rep_pairs:
-                    inter = np.intersect1d(_ball(cloud, int(x), R, tol), deepest.indices)
-                    count = _cover_count_lower_bound(cloud, inter, r, tol, exact_cutoff)
-                    if count < needed:
-                        return False
-    return True
+    deepest = level_points(family, depth, cloud).indices
+    probes = [(R, r, l ** m) for n in range(1, depth) for m in range(depth - n)
+              for R, r in ((2.0 ** (-k * n + 2), 2.0 ** (-k * (n + m))),     # hard corner
+                           (2.0 ** (-k * (n - 1) + 1),                       # outer corner
+                            2.0 ** (-k * (n + m + 1) + 1)))]
+    if cloud.sorted_1d:
+        x = cloud.coords[deepest, 0]
+        return all(int(_ball_cover_counts_1d(x, R, r, tol).min()) >= needed
+                   for R, r, needed in probes)
+    return all(_cover_count_lower_bound(cloud, deepest[row <= R + tol], r, tol,
+                                        exact_cutoff) >= needed
+               for _, block in cloud._blocks(deepest) for row in block
+               for R, r, needed in probes)

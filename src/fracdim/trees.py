@@ -10,6 +10,7 @@ carry deep (2, 2)-regular certificates.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from .cloud import PointCloud
 from .config import DEFAULT_BUDGET, DEFAULT_TOL
-from .regular import RegularFamily, SearchResult, search_regular
+from .regular import RegularFamily, SearchResult, label_str, search_regular
 
 Node = Tuple[int, ...]
 
@@ -157,54 +158,39 @@ def embed_tree(tree: FiniteTree) -> PointCloud:
     for node in tree.nodes:
         for vec in node_vectors(tree, node):
             vecs.append(vec)
-            owners.append(".".join(str(c) for c in node))
+            owners.append(label_str(node))
     cloud = sparse_cloud(vecs, meta={"kind": "tree-embedding", "point_node": owners,
                                      "tree_nodes": [list(u) for u in tree.nodes]})
     return cloud
-
-
-def _vector_indices(tree: FiniteTree, cloud: PointCloud) -> Dict[Tuple[Tuple[int, float], ...], int]:
-    lookup = {}
-    pos = 0
-    for node in tree.nodes:
-        for vec in node_vectors(tree, node):
-            lookup[vec.entries] = pos
-            pos += 1
-    if pos != cloud.n:
-        raise ValueError("cloud does not match the embedding of this tree")
-    return lookup
 
 
 def branch_family(tree: FiniteTree, branch: Node, depth: int,
                   cloud: Optional[PointCloud] = None) -> RegularFamily:
     """The explicit (2, 2) certificate carried by a branch of the tree.
 
-    Point indices refer to ``embed_tree(tree)`` (pass it as ``cloud`` to
-    avoid re-embedding).  Distances along the construction are exact: the
+    Point indices refer to ``embed_tree(tree)``; a ``cloud``, if given, must
+    have its point count.  Distances along the construction are exact: the
     two children of a level-n label sit 2^(-2n-1) from their parent on
-    disjoint coordinates.
+    disjoint coordinates.  The embedding lists the 2^len(u) vectors of each
+    node u in node order, and the binary digits of a vector's position
+    among them are its coordinate choices along u's path, first step
+    first.  So label s of length n is point ``start(branch[:n]) + int(s,
+    base 2)``, where ``start(u)`` counts the vectors of the nodes before u.
     """
     branch = tuple(branch)
     if branch not in tree:
         raise ValueError(f"branch {branch!r} not in tree")
     if len(branch) < depth:
         raise ValueError(f"branch of length {len(branch)} too short for depth {depth}")
-    if cloud is None:
-        cloud = embed_tree(tree)
-    lookup = _vector_indices(tree, cloud)
-    vectors: Dict[Tuple[int, ...], SparseVec] = {(): SparseVec.zero()}
-    frontier: List[Tuple[int, ...]] = [()]
-    for n in range(depth):
-        scale = 2.0 ** (-2 * n - 1)
-        step_node = branch[:n + 1]
-        nxt = []
-        for s in frontier:
-            for c in (0, 1):
-                vectors[s + (c,)] = vectors[s].with_unit(
-                    coordinate_index(tree, step_node, c), scale)
-                nxt.append(s + (c,))
-        frontier = nxt
-    assign = {lab: lookup[vec.entries] for lab, vec in vectors.items()}
+    start = {}
+    total = 0
+    for node in tree.nodes:
+        start[node] = total
+        total += 2 ** len(node)
+    if cloud is not None and cloud.n != total:
+        raise ValueError("cloud does not match the embedding of this tree")
+    assign = {s: start[branch[:n]] + int("0" + "".join(map(str, s)), 2)
+              for n in range(depth + 1) for s in itertools.product((0, 1), repeat=n)}
     return RegularFamily(2, 2, depth, False, assign)
 
 

@@ -191,6 +191,80 @@ def separated_family_oracle(dmat: np.ndarray, r: float, tol: float = 1e-12) -> l
     return chosen
 
 
+
+def bb_min_clique_cover_oracle(dmat: np.ndarray, r: float, tol: float = 1e-12) -> list:
+    """The index-order branch-and-bound exact cover that the bitset solver
+    replaced, on a distance matrix, as parts of sorted positions.
+
+    The body is the replaced solver's, except that it takes the distance
+    matrix itself and its greedy upper bound and separated lower bound come
+    from :func:`greedy_cover_oracle` and :func:`separated_family_oracle`.
+    """
+    m = dmat.shape[0]
+    if m == 0:
+        return []
+    compat = dmat <= r + tol
+
+    best_parts = [[int(v) for v in part] for part in greedy_cover_oracle(dmat, r, tol)]
+    best = len(best_parts)
+    lb = len(separated_family_oracle(dmat, r, tol))
+    if best == lb:
+        return [np.asarray(sorted(p)) for p in best_parts]
+
+    parts = []
+    out = [best_parts]
+    best_box = [best]
+
+    def dfs(v: int) -> None:
+        if len(parts) >= best_box[0]:
+            return
+        if v == m:
+            if len(parts) < best_box[0]:
+                best_box[0] = len(parts)
+                out[0] = [list(p) for p in parts]
+            return
+        for p in parts:
+            if all(compat[v, u] for u in p):
+                p.append(v)
+                dfs(v + 1)
+                p.pop()
+        if len(parts) + 1 < best_box[0]:
+            parts.append([v])
+            dfs(v + 1)
+            parts.pop()
+
+    dfs(0)
+    return [np.asarray(sorted(p)) for p in out[0]]
+
+
+def bb_max_separated_oracle(dmat: np.ndarray, sep: float, tol: float = 1e-12) -> np.ndarray:
+    """The index-order branch-and-bound maximum separated family that the
+    bitset solver replaced, as sorted positions; it takes the distance matrix
+    itself."""
+    m = dmat.shape[0]
+    if m == 0:
+        return np.empty(0, dtype=np.int64)
+    ok = dmat >= sep - tol
+    np.fill_diagonal(ok, False)
+
+    best_set = []
+
+    def dfs(v: int, chosen: list) -> None:
+        if len(chosen) + (m - v) <= len(best_set):
+            return
+        if v == m:
+            if len(chosen) > len(best_set):
+                best_set[:] = chosen
+            return
+        if all(ok[v, u] for u in chosen):
+            chosen.append(v)
+            dfs(v + 1, chosen)
+            chosen.pop()
+        dfs(v + 1, chosen)
+
+    dfs(0, [])
+    return np.asarray(sorted(best_set), dtype=np.int64)
+
 def _fmt_float(x: float) -> str:
     if not np.isfinite(x):
         raise ValueError("cannot serialize non-finite float")

@@ -258,7 +258,8 @@ def _run_module(*argv):
 
 
 class TestMalformedFiles:
-    """Malformed spec, certificate and config files are validation errors (exit 2)."""
+    """Malformed spec, certificate, tree, cloud and config files are validation
+    errors (exit 2)."""
 
     def _assert_validation_error(self, proc):
         assert proc.returncode == 2
@@ -312,6 +313,36 @@ class TestMalformedFiles:
         tree_path.write_text(json.dumps(nodes))
         self._assert_validation_error(_run_module(
             "embed", str(tree_path), "--out", str(tmp_path / "o.json")))
+
+    @pytest.mark.parametrize("cloud", [
+        {"metric": "euclidean", "points": [["0.5"], [True], [2]]},
+        {"metric": "euclidean", "points": [0.5, True]},
+        {"metric": "euclidean", "points": [[[0.0]], [[1.0]]]},
+        {"metric": "euclidean", "points": [[10 ** 400], [0]]},
+        {"metric": "euclidean", "points": [[]]},
+        {"metric": "matrix", "matrix": [[0, "1"], ["1", 0]]},
+        {"metric": "euclidean", "pionts": [[0.0], [1.0]]},
+        {"metric": "matrix", "points": [[0.0], [1.0]]},
+        {"metric": "euclidean", "points": {"0": 1.0}},
+        {"metric": 1, "points": [[0.0], [1.0]]},
+        {"points": [[0.0], [1.0]]},
+        [[0.0], [1.0]],
+    ])
+    def test_cloud(self, tmp_path, cloud):
+        cloud_path = tmp_path / "c.json"
+        cloud_path.write_text(json.dumps(cloud))
+        self._assert_validation_error(_run_module("info", str(cloud_path)))
+
+    @pytest.mark.parametrize("cloud, points", [
+        ({"metric": "euclidean", "points": [0.5, 1, 2]}, 3),
+        ({"metric": "l1", "points": [[0, 1.5], [1, 2]]}, 2),
+        ({"metric": "matrix", "matrix": [[0, 1], [1.0, 0]]}, 2),
+    ])
+    def test_valid_cloud(self, tmp_path, cloud, points):
+        cloud_path = tmp_path / "c.json"
+        cloud_path.write_text(json.dumps(cloud))
+        proc = _run_module("info", str(cloud_path))
+        assert proc.returncode == 0 and json.loads(proc.stdout)["points"] == points
 
     def test_config_value(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

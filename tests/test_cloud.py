@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fracdim.cloud as cloud_module
-from fracdim import (PointCloud, closed_ball, diameter, distance,
-                     hausdorff_distance, interval_plus_point_cloud, validate_packing)
+from fracdim import (PointCloud, closed_ball, diameter, hausdorff_distance,
+                     interval_plus_point_cloud, validate_packing)
 from fracdim.covering import PackResult
 from oracles import brute_hausdorff, distance_row_oracle
 
@@ -15,14 +15,14 @@ TOL = 1e-12
 class TestDistance:
     def test_identity(self, grid11):
         for i in range(grid11.n):
-            assert distance(grid11, i, i) == 0.0
+            assert grid11.distance(i, i) == 0.0
 
     def test_interval_plus_point_endpoints(self):
         # the endpoints 1 and 2 of the motivating set [0,1] u {2}
         cloud = interval_plus_point_cloud(4)
         i_one = int(np.flatnonzero(cloud.coords[:, 0] == 1.0)[0])
         i_two = int(np.flatnonzero(cloud.coords[:, 0] == 2.0)[0])
-        assert distance(cloud, i_one, i_two) == 1.0
+        assert cloud.distance(i_one, i_two) == 1.0
 
     def test_l1_disjoint_supports(self):
         # x = 0.5 e_0, y = 0.25 e_3: hand sum over the union of supports
@@ -30,14 +30,14 @@ class TestDistance:
         cloud = sparse_cloud([SparseVec.from_dict({0: 0.5}),
                               SparseVec.from_dict({3: 0.25})])
         assert cloud.metric == "l1"
-        assert distance(cloud, 0, 1) == pytest.approx(0.75, abs=TOL)
+        assert cloud.distance(0, 1) == pytest.approx(0.75, abs=TOL)
 
     def test_symmetry(self, grid11):
-        assert distance(grid11, 2, 7) == distance(grid11, 7, 2)
+        assert grid11.distance(2, 7) == grid11.distance(7, 2)
 
     def test_index_out_of_range(self, grid11):
         with pytest.raises(IndexError):
-            distance(grid11, 0, 99)
+            grid11.distance(0, 99)
 
 
 class TestDiameter:
@@ -165,6 +165,11 @@ class TestConstruction:
     def test_duplicates_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             PointCloud([[0.0], [0.0], [1.0]])
+
+    @pytest.mark.parametrize("points", [[], [[]], [[], []]])
+    def test_points_without_coordinates_rejected(self, points):
+        with pytest.raises(ValueError, match="non-empty 2-D array"):
+            PointCloud(points)
 
     def test_matrix_validation(self):
         PointCloud.from_matrix([[0, 1, 2], [1, 0, 1], [2, 1, 0]])

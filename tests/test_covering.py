@@ -9,9 +9,11 @@ import fracdim.cloud as cloud_module
 from fracdim import (PointCloud, Subset, cantor_cloud, covering_number,
                      maximal_separated_family, packing_number, validate_cover,
                      validate_packing)
-from fracdim.covering import (_greedy_cover_parts, _greedy_pack_indices, _separated_lower_bound,
+from fracdim.covering import (_bb_max_separated, _bb_min_clique_cover, _greedy_cover_parts,
+                              _greedy_pack_indices, _separated_lower_bound,
                               _sweep_cover_counts, _sweep_cover_parts)
-from oracles import (certified_cover_count_1d, distance_row_oracle, exact_cover_oracle,
+from oracles import (bb_max_separated_oracle, bb_min_clique_cover_oracle,
+                     certified_cover_count_1d, distance_row_oracle, exact_cover_oracle,
                      exact_pack_oracle, greedy_cover_oracle, greedy_pack_oracle,
                      random_metric_cloud, separated_family_oracle)
 
@@ -317,6 +319,79 @@ class TestGreedySeparatedFamilies:
         one = np.array([2])
         assert _separated_scans(cloud, one, 0.5, 0) == {
             "separated": [2], "pack": [2], "packing_number": [2], "seeded": [2]}
+
+
+def _exact_solves(cloud, idx, r):
+    """The exact cover's parts and the exact packing's family at ``r``, as index lists."""
+    return ([p.tolist() for p in _bb_min_clique_cover(cloud, idx, r, TOL)],
+            _bb_max_separated(cloud, idx, r, TOL).tolist())
+
+
+def _exact_oracles(dmat, idx, r):
+    return ([idx[p].tolist() for p in bb_min_clique_cover_oracle(dmat, r, TOL)],
+            idx[bb_max_separated_oracle(dmat, r, TOL)].tolist())
+
+
+def _grid_instance(cells, metric, keep):
+    """A cloud on the dyadic 16 x 16 grid of spacing 1/8, the sorted points
+    ``keep`` of it and their distance matrix."""
+    coords = np.array([[c // 16, c % 16] for c in cells], dtype=float) / 8.0
+    idx = np.asarray(sorted(keep), dtype=np.int64)
+    dmat = np.stack([distance_row_oracle(coords, i, metric) for i in range(len(cells))])
+    return PointCloud(coords, metric=metric), idx, dmat[np.ix_(idx, idx)]
+
+
+class TestBitsetExactSolvers:
+    """The exact solvers on bitset rows against the index-order solvers they
+    replaced: the same parts and the same family, not only the same counts."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.lists(st.integers(0, 15 * 16 + 15), min_size=1, max_size=16, unique=True),
+           st.sampled_from(["euclidean", "l1"]), st.integers(1, 12), st.data())
+    @example([0, 3, 4, 64, 67], "euclidean", 5, None)   # 3-4-5 triangles: distances exactly r
+    @example([1, 2, 0, 3], "euclidean", 1, None)        # greedy 3 parts, optimum 2
+    def test_dyadic_grid(self, cells, metric, steps, data):
+        if data is None:
+            keep = range(len(cells))
+        else:
+            keep = data.draw(st.lists(st.sampled_from(range(len(cells))), unique=True))
+        cloud, idx, dmat = _grid_instance(cells, metric, keep)
+        expected = _exact_oracles(dmat, idx, steps / 8.0)
+        assert _exact_solves(cloud, idx, steps / 8.0) == expected
+        with mock.patch.object(cloud_module, "_BLOCK_ELEMENTS", 8):   # one row per block
+            assert _exact_solves(cloud, idx, steps / 8.0) == expected
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(1, 16), st.sampled_from([1.0, 1.25, 1.5, 1.75, 2.0]), st.data())
+    def test_matrix_cloud(self, n, r, data):
+        # distances in [1, 2] always obey the triangle inequality; many equal r
+        steps = data.draw(st.lists(st.integers(0, 4), min_size=n * (n - 1) // 2,
+                                   max_size=n * (n - 1) // 2))
+        dmat = np.zeros((n, n))
+        dmat[np.triu_indices(n, 1)] = 1 + np.asarray(steps, dtype=float) / 4
+        dmat += dmat.T
+        keep = data.draw(st.lists(st.sampled_from(range(n)), unique=True))
+        idx = np.asarray(sorted(keep), dtype=np.int64)
+        cloud = PointCloud.from_matrix(dmat)
+        expected = _exact_oracles(dmat[np.ix_(idx, idx)], idx, r)
+        assert _exact_solves(cloud, idx, r) == expected
+        with mock.patch.object(cloud_module, "_BLOCK_ELEMENTS", 8):
+            assert _exact_solves(cloud, idx, r) == expected
+
+    @pytest.mark.parametrize("cells, keep, steps, greedy, bound, exact", [
+        ([5, 9], [], 1, 0, 0, 0),                       # no points
+        ([5, 9], [1], 1, 1, 1, 1),                      # one point
+        ([0, 15, 255], range(3), 1, 3, 3, 3),           # greedy meets the separated bound
+        ([0, 3, 4, 64, 67], range(5), 5, 2, 1, 2),      # the search confirms greedy
+        ([1, 2, 0, 3], range(4), 1, 3, 2, 2),           # the search improves on greedy
+    ])
+    def test_paths(self, cells, keep, steps, greedy, bound, exact):
+        cloud, idx, dmat = _grid_instance(cells, "euclidean", keep)
+        r = steps / 8.0
+        assert len(_greedy_cover_parts(cloud, idx, r, TOL)) == greedy
+        assert len(_separated_lower_bound(cloud, idx, r, TOL)) == bound
+        assert len(_bb_min_clique_cover(cloud, idx, r, TOL)) == exact
+        assert _exact_solves(cloud, idx, r) == _exact_oracles(dmat, idx, r)
 
 
 class TestProperties:

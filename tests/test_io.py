@@ -197,6 +197,19 @@ class TestCloudFiles:
         with pytest.raises(ValueError):
             io.read_cloud(path)
 
+    @pytest.mark.parametrize("cloud, text", [
+        (PointCloud([[0.0, 1.5], [0.25, -2.0]], metric="l1"),
+         '{\n  "metric": "l1",\n  "points": [\n    [\n      0.0,\n      1.5\n    ],\n'
+         '    [\n      0.25,\n      -2.0\n    ]\n  ]\n}\n'),
+        (PointCloud.from_matrix([[0, 0.5], [0.5, 0]]),
+         '{\n  "metric": "matrix",\n  "matrix": [\n    [\n      0.0,\n      0.5\n    ],\n'
+         '    [\n      0.5,\n      0.0\n    ]\n  ]\n}\n'),
+    ])
+    def test_written_text(self, tmp_path, cloud, text):
+        path = tmp_path / "c.json"
+        io.write_cloud(cloud, path)
+        assert path.read_text() == text
+
 
 class TestCertificateFiles:
     def test_roundtrip_bit_exact(self, tmp_path):

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 import fracdim.cloud as cloud_module
+import fracdim.regular as regular_module
 from fracdim import (FiniteTree, PointCloud, RegularFamily, ScaleWindow, cantor_cloud,
                      certificate_scaling_check, choose_parameters,
                      dimension_bound, dyadic_interval_cloud, embed_tree,
                      hausdorff_distance, level_points, lower_dim_estimate,
                      max_regular_depth, packing_number, polarized_example_cloud,
                      polarized_natural_family, search_regular, verify_regular)
+from oracles import distance_row_oracle
 
 TOL = 1e-12
 
@@ -257,6 +259,34 @@ class TestScalingCheck:
         assert certificate_scaling_check(cloud, fam) is True
         assert _matrix_scaling_check(cloud, fam, TOL) is True
 
+    @pytest.mark.parametrize("block", [None, 2 * 16 * 62])
+    def test_counts_every_ball(self, monkeypatch, block):
+        # every deepest-level point's ball at every probe is counted exactly
+        # once, cut from that point's distance row (one or several blocks)
+        cloud = embed_tree(FiniteTree.full_tree(4, 2))
+        fam = search_regular(cloud, 2, 2, 4).family
+        if block is not None:
+            monkeypatch.setattr(cloud_module, "_BLOCK_ELEMENTS", block)
+        counted = []
+        count = regular_module._cover_count_lower_bound
+
+        def spy(cloud, idx, r, tol, cutoff):
+            counted.append((idx.tolist(), r))
+            return count(cloud, idx, r, tol, cutoff)
+
+        monkeypatch.setattr(regular_module, "_cover_count_lower_bound", spy)
+        assert certificate_scaling_check(cloud, fam) is True
+        deepest = level_points(fam, 4, cloud).indices
+        expected = []
+        for x in deepest:
+            row = distance_row_oracle(cloud.coords, x, "l1")[deepest]
+            for n in range(1, 4):
+                for m in range(4 - n):
+                    for R, r in ((2.0 ** (-2 * n + 2), 2.0 ** (-2 * (n + m))),
+                                 (2.0 ** (-2 * (n - 1) + 1), 2.0 ** (-2 * (n + m + 1) + 1))):
+                        expected.append((deepest[row <= R + TOL].tolist(), r))
+        assert sorted(counted) == sorted(expected)
+
     def test_unverified_family_refused(self, grid11):
         fam = RegularFamily(2, 2, 1, False, {(): 5, (0,): 5, (1,): 5})
         with pytest.raises(ValueError):
@@ -337,14 +367,28 @@ class TestFrozenSearch:
         cloud = embed_tree(FiniteTree.full_tree(3, 2))
         assert max_regular_depth(cloud, 2, 2, 5) == (3, False)
 
-    @pytest.mark.parametrize("tol,cutoff,verdict", [
+    TREE_VERDICTS = pytest.mark.parametrize("tol,cutoff,verdict", [
         (TOL, 20, True), (TOL, 4, True), (0.2, 20, False), (0.26, 20, True),
         (0.26, 4, False), (0.5, 20, False)])
+
+    @TREE_VERDICTS
     def test_tree_scaling_verdicts(self, tol, cutoff, verdict):
         # at cutoff 4 the probes fall back on the separated-family bound
         cloud = embed_tree(FiniteTree.full_tree(4, 2))
         fam = search_regular(cloud, 2, 2, 4).family
         assert certificate_scaling_check(cloud, fam, tol=tol, exact_cutoff=cutoff) is verdict
+
+    @TREE_VERDICTS
+    def test_tree_scaling_verdicts_streamed(self, monkeypatch, tol, cutoff, verdict):
+        # no distance matrix, the deepest level's 16 rows come two at a time,
+        # and greedy scans of more than three points take the candidate scan
+        cloud = embed_tree(FiniteTree.full_tree(4, 2))
+        fam = search_regular(cloud, 2, 2, 4).family
+        monkeypatch.setattr(cloud_module, "_DENSE_CAP", 15)
+        monkeypatch.setattr(cloud_module, "_BLOCK_ELEMENTS", 2 * 16 * cloud.dim)
+        cloud = PointCloud(cloud.coords, metric=cloud.metric)
+        assert certificate_scaling_check(cloud, fam, tol=tol, exact_cutoff=cutoff) is verdict
+        assert cloud.dense() is None
 
 
 @pytest.fixture

@@ -155,6 +155,21 @@ class TestBranchFamily:
                 assert d >= 2.0 ** (-2 * k) - TOL
                 assert d >= 2.0 ** (-2 * n + 2) - TOL
 
+    def test_indices_follow_the_embedding_order(self):
+        # each label's point is the vector the construction builds along the branch
+        tree = FiniteTree([(), (0,), (1,), (1, 0), (1, 2), (1, 2, 0)])
+        cloud = embed_tree(tree)
+        for branch in tree.nodes:
+            fam = branch_family(tree, branch, len(branch), cloud=cloud)
+            for s, i in fam.assign.items():
+                vec = SparseVec.zero()
+                for n, c in enumerate(s):
+                    vec = vec.with_unit(coordinate_index(tree, branch[:n + 1], c),
+                                        2.0 ** (-2 * n - 1))
+                assert np.array_equal(cloud.coords[i], vec.to_dense(cloud.dim))
+        with pytest.raises(ValueError, match="does not match"):
+            branch_family(tree, (1, 2), 2, cloud=embed_tree(FiniteTree.single_branch(2)))
+
     def test_branch_too_short(self):
         tree = FiniteTree.single_branch(2)
         with pytest.raises(ValueError, match="too short"):
