@@ -7,8 +7,10 @@ k sit at least 2^-2k apart, and a branch of length b carries a depth-b
 (2, 2)-regular certificate.  The deepest certificate found equals the
 longest node, turning branch length into a metric invariant.
 """
+import numpy as np
+
 from fracdim import (FiniteTree, branch_family, embed_tree, max_regular_depth,
-                     node_vectors, verify_regular)
+                     verify_regular)
 
 for b in range(5):
     tree = FiniteTree.single_branch(b)
@@ -22,9 +24,10 @@ cloud = embed_tree(tree)
 fam = branch_family(tree, (0, 0, 0, 0), depth=4, cloud=cloud)
 print(f"\nexplicit branch certificate verifies: {verify_regular(cloud, fam).ok}")
 
-root_children = node_vectors(tree, (0,))
-print(f"phi of the first branch node: {[dict(v.entries) for v in root_children]}")
-print(f"their l1 distance: {root_children[0].l1_distance(root_children[1])}")
+# rows 1 and 2 are the two vectors of node (0,), as {column: value}
+phi = [{int(c): float(row[c]) for c in np.flatnonzero(row)} for row in cloud.coords[1:3]]
+print(f"phi of the first branch node: {phi}")
+print(f"their l1 distance: {cloud.distance(1, 2)}")
 
 bushy = FiniteTree.full_tree(2, 3)
 bc = embed_tree(bushy)

@@ -17,8 +17,7 @@ from .lowerdim import (BoundResult, EstimateReport, ScaleWindow,
 from .regular import (RegularFamily, RegularityReport, SearchResult,
                       Violation, certificate_scaling_check, choose_parameters,
                       level_points, search_regular, verify_regular)
-from .trees import (FiniteTree, SparseVec, branch_family, coordinate_index,
-                    embed_tree, max_regular_depth, node_vectors, sparse_cloud)
+from .trees import FiniteTree, branch_family, embed_tree, max_regular_depth
 
 __version__ = "0.1.0"
 
@@ -35,7 +34,6 @@ __all__ = [
     "RegularFamily", "RegularityReport", "SearchResult", "Violation",
     "verify_regular", "search_regular", "choose_parameters", "level_points",
     "certificate_scaling_check",
-    "FiniteTree", "SparseVec", "coordinate_index", "node_vectors",
-    "embed_tree", "branch_family", "max_regular_depth", "sparse_cloud",
+    "FiniteTree", "embed_tree", "branch_family", "max_regular_depth",
     "__version__",
 ]

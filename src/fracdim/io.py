@@ -170,14 +170,20 @@ def cloud_to_dict(cloud: PointCloud) -> dict:
 def cloud_from_dict(data: dict) -> PointCloud:
     """The cloud a JSON object describes; malformed input raises ValueError.
 
-    Coordinate clouds hold ``metric`` and ``points`` (rows of numbers, or
-    numbers for a 1-D cloud); matrix clouds hold ``metric`` and ``matrix``.
+    Coordinate clouds hold ``metric`` and ``points`` (rows of numbers, all
+    of one length, or numbers for a 1-D cloud); matrix clouds hold
+    ``metric`` and ``matrix`` (rows of numbers, all of one length).
     """
     key = "matrix" if isinstance(data, dict) and data.get("metric") == "matrix" else "points"
     data = _checked_object(data, "cloud", {"metric": "a string", key: "a list"},
                            required=("metric", key))
     number = _JSON_CHECKS["a number"]
     rows = data[key]
+    if key == "matrix" or any(isinstance(row, list) for row in rows):
+        if not all(isinstance(row, list) for row in rows) or len({len(r) for r in rows}) > 1:
+            rule = ("rows of one length" if key == "matrix"
+                    else "only numbers or only rows of one length")
+            raise ValueError(f"cloud field {key!r} must hold {rule}")
     entries = (x for row in rows for x in (row if isinstance(row, list) else [row]))
     # the bound also refuses integers too large for a float
     if not all(number(x) and abs(x) <= sys.float_info.max for x in entries):
@@ -204,9 +210,13 @@ def read_cloud_csv(path: str, metric: str = "euclidean") -> PointCloud:
         raise ValueError("CSV import supports coordinate metrics only")
     rows: List[List[float]] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row in csv.reader(fh):
+        reader = csv.reader(fh)
+        for row in reader:
             if not row or all(not cell.strip() for cell in row):
                 continue
+            if rows and len(row) != len(rows[0]):
+                raise ValueError(f"CSV rows must all have the first row's {len(rows[0])}"
+                                 f" values; line {reader.line_num} has {len(row)}")
             rows.append([float(cell) for cell in row])
     return PointCloud(rows, metric=metric)
 

@@ -25,6 +25,7 @@ import numpy as np
 from .cloud import PointCloud, Subset, _ball
 from .config import DEFAULT_BUDGET, DEFAULT_EXACT_CUTOFF, DEFAULT_TOL
 from .covering import _ball_cover_counts_1d, _greedy_cover_parts, covering_number
+from .regular import RegularFamily, SearchResult, search_regular
 
 SEMANTICS_NOTE = "scale-window estimate on a finite sample, not a limit quantity"
 
@@ -194,8 +195,8 @@ class BoundResult:
     """
 
     bound: float
-    family: Optional["RegularFamily"]  # noqa: F821 (regular imports this module)
-    outcomes: List[Tuple[int, int, "SearchResult"]] = field(default_factory=list)  # noqa: F821
+    family: Optional[RegularFamily]
+    outcomes: List[Tuple[int, int, SearchResult]] = field(default_factory=list)
 
     @property
     def exhausted(self) -> bool:
@@ -211,8 +212,6 @@ def mod_lower_dim_bound(cloud: PointCloud, params: Sequence[Tuple[int, int]],
     Finite clouds are complete, so plain (non-strong) families certify the
     bound; pass ``strong=True`` to insist on the stronger certificate shape.
     """
-    from .regular import search_regular
-
     if depth < 1:
         raise ValueError("depth must be at least 1")
     best_bound = 0.0

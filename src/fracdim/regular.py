@@ -258,11 +258,9 @@ class _Search:
         cands = [int(q) for q in pool
                  if (not self.strong or q != point)
                  and self._is_plausible(int(q), level + 1, rest - 1)]
-        need = self.l - 1 if self.strong else self.l
-        if need > 0:
-            arr = np.asarray(cands, dtype=np.int64)
-            if self._pack_upper_bound(arr, sep) < need:
-                return None
+        need = self.l - 1 if self.strong else self.l   # >= 1: search_regular needs l >= 2
+        if self._pack_upper_bound(np.asarray(cands, dtype=np.int64), sep) < need:
+            return None
         chosen0 = [point] if self.strong else []
         children = self._find_children(cands, chosen0, sep, level, rest, need)
         if children is None:
@@ -284,8 +282,6 @@ class _Search:
     def _find_children(self, cands: List[int], chosen0: List[int], sep: float,
                        level: int, rest: int, need: int) -> Optional[List[int]]:
         """Lexicographically first feasible separated child set, ascending index."""
-        if need == 0:
-            return []
         if self.cloud.sorted_1d:
             # Greedy leftmost is maximizing in 1-D even with a pinned seed:
             # replacing an optimal pick by an earlier compatible one only

@@ -1,18 +1,17 @@
 """Finite trees of integer sequences and their embedding into l1 clouds.
 
 Each tree node u gets two fresh coordinate indices (2*ord(u) and
-2*ord(u)+1, with ord taken from the breadth-first, label-sorted node
-enumeration).  A node at depth n+1 doubles every vector of its parent by
-adding 2^(-2n-1) on one of its two coordinates, so distinct recursion
-levels touch distinct coordinates and l1 distances inside the construction
-are exact sums of the injected magnitudes.  Long branches of the tree then
+2*ord(u)+1, with ord(u) its position in the breadth-first, label-sorted
+node enumeration ``tree.nodes``).  A node at depth n+1 doubles every
+vector of its parent by adding 2^(-2n-1) on one of its two coordinates, so
+distinct recursion levels touch distinct coordinates and l1 distances
+inside the construction are exact sums of the injected magnitudes.  Long branches of the tree then
 carry deep (2, 2)-regular certificates.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -21,44 +20,6 @@ from .config import DEFAULT_BUDGET, DEFAULT_TOL
 from .regular import RegularFamily, SearchResult, label_str, search_regular
 
 Node = Tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class SparseVec:
-    """Finitely supported vector: sorted (index, value) pairs, no stored zeros."""
-
-    entries: Tuple[Tuple[int, float], ...]
-
-    @classmethod
-    def zero(cls) -> "SparseVec":
-        return cls(())
-
-    @classmethod
-    def from_dict(cls, data: Dict[int, float]) -> "SparseVec":
-        items = tuple(sorted((int(i), float(v)) for i, v in data.items() if v != 0.0))
-        if any(i < 0 for i, _ in items):
-            raise ValueError("indices must be nonnegative")
-        return cls(items)
-
-    def with_unit(self, index: int, scale: float) -> "SparseVec":
-        """This vector plus ``scale`` times the unit vector at a fresh index."""
-        if any(i == index for i, _ in self.entries):
-            raise ValueError(f"coordinate {index} already used")
-        return SparseVec(tuple(sorted(self.entries + ((index, scale),))))
-
-    def l1_norm(self) -> float:
-        return sum(abs(v) for _, v in self.entries)
-
-    def l1_distance(self, other: "SparseVec") -> float:
-        a = dict(self.entries)
-        b = dict(other.entries)
-        return sum(abs(a.get(i, 0.0) - b.get(i, 0.0)) for i in set(a) | set(b))
-
-    def to_dense(self, dim: int) -> np.ndarray:
-        out = np.zeros(dim)
-        for i, v in self.entries:
-            out[i] = v
-        return out
 
 
 class FiniteTree:
@@ -82,8 +43,7 @@ class FiniteTree:
                 if node[:cut] not in seen:
                     raise ValueError(f"tree is not prefix-closed: missing {node[:cut]}")
         self.nodes: Tuple[Node, ...] = tuple(sorted(seen, key=lambda u: (len(u), u)))
-        self._ord = {u: i for i, u in enumerate(self.nodes)}
-        self._vectors: Dict[Node, Tuple[SparseVec, ...]] = {}
+        self._members = frozenset(seen)
 
     @classmethod
     def single_branch(cls, length: int, label: int = 0) -> "FiniteTree":
@@ -99,7 +59,7 @@ class FiniteTree:
         return cls(nodes)
 
     def __contains__(self, node) -> bool:
-        return tuple(node) in self._ord
+        return tuple(node) in self._members
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -107,61 +67,28 @@ class FiniteTree:
     def max_node_length(self) -> int:
         return max(len(u) for u in self.nodes)
 
-    def order(self, node: Node) -> int:
-        """Position in the breadth-first, label-sorted enumeration."""
-        try:
-            return self._ord[tuple(node)]
-        except KeyError:
-            raise ValueError(f"node {node!r} not in tree") from None
-
-
-def coordinate_index(tree: FiniteTree, node: Node, bit: int) -> int:
-    """The fresh l1 coordinate reserved for (node, bit); injective per tree."""
-    if bit not in (0, 1):
-        raise ValueError("bit must be 0 or 1")
-    return 2 * tree.order(node) + bit
-
-
-def node_vectors(tree: FiniteTree, node: Node) -> Tuple[SparseVec, ...]:
-    """The 2^len(node) vectors attached to ``node``, in recursion order."""
-    node = tuple(node)
-    if node not in tree:
-        raise ValueError(f"node {node!r} not in tree")
-    cached = tree._vectors.get(node)
-    if cached is not None:
-        return cached
-    if node == ():
-        vecs: Tuple[SparseVec, ...] = (SparseVec.zero(),)
-    else:
-        parent_vecs = node_vectors(tree, node[:-1])
-        scale = 2.0 ** (-2 * (len(node) - 1) - 1)
-        vecs = tuple(x.with_unit(coordinate_index(tree, node, i), scale)
-                     for x in parent_vecs for i in (0, 1))
-    tree._vectors[node] = vecs
-    return vecs
-
-
-def sparse_cloud(vecs: Sequence[SparseVec], meta: Optional[dict] = None) -> PointCloud:
-    """An l1 cloud from finitely supported vectors (densified internally)."""
-    vecs = list(vecs)
-    if not vecs:
-        raise ValueError("need at least one vector")
-    dim = max((i for v in vecs for i, _ in v.entries), default=-1) + 1
-    rows = np.asarray([v.to_dense(max(dim, 1)) for v in vecs])
-    return PointCloud(rows, metric="l1", meta=meta)
-
 
 def embed_tree(tree: FiniteTree) -> PointCloud:
-    """The l1 cloud of all vectors attached to all nodes (no collisions occur)."""
-    vecs = []
-    owners = []
-    for node in tree.nodes:
-        for vec in node_vectors(tree, node):
-            vecs.append(vec)
-            owners.append(label_str(node))
-    cloud = sparse_cloud(vecs, meta={"kind": "tree-embedding", "point_node": owners,
-                                     "tree_nodes": [list(u) for u in tree.nodes]})
-    return cloud
+    """The l1 cloud of all vectors attached to all nodes (no collisions occur).
+
+    Node ``tree.nodes[i]`` owns columns 2i and 2i + 1.  The root's block is
+    one zero row; every later node's block repeats each row of its parent's
+    block twice and writes 2^(1 - 2 len(u)) at column 2i on the even rows
+    and at column 2i + 1 on the odd rows.  The blocks are stacked in node
+    order.  A one-node tree gets a single column.
+    """
+    dim = 2 * len(tree) if len(tree) > 1 else 1
+    blocks = {(): np.zeros((1, dim))}
+    for i, node in enumerate(tree.nodes[1:], start=1):
+        rows = np.repeat(blocks[node[:-1]], 2, axis=0)
+        scale = 2.0 ** (1 - 2 * len(node))
+        rows[0::2, 2 * i] = scale
+        rows[1::2, 2 * i + 1] = scale
+        blocks[node] = rows
+    owners = [label_str(node) for node in tree.nodes for _ in range(2 ** len(node))]
+    return PointCloud(np.concatenate([blocks[u] for u in tree.nodes]), metric="l1",
+                      meta={"kind": "tree-embedding", "point_node": owners,
+                            "tree_nodes": [list(u) for u in tree.nodes]})
 
 
 def branch_family(tree: FiniteTree, branch: Node, depth: int,

@@ -300,3 +300,28 @@ def canonical_json_oracle(obj, indent: int = 0, _level: int = 0) -> str:
             return "{}"
         return "{" + nl + pad + sep.join(items) + nl + closing + "}"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def embed_tree_oracle(tree):
+    """The tree embedding as it was built before the direct one: one sparse
+    {column: value} vector per point, densified at the end.
+
+    Returns the coordinate rows and the ``meta`` of ``embed_tree(tree)``.
+    """
+    nodes = sorted(set(tree.nodes), key=lambda u: (len(u), u))
+    order = {u: i for i, u in enumerate(nodes)}
+    vectors = {(): [{}]}
+    for u in nodes[1:]:
+        scale = 2.0 ** (-2 * (len(u) - 1) - 1)
+        vectors[u] = [{**x, 2 * order[u] + bit: scale}
+                      for x in vectors[u[:-1]] for bit in (0, 1)]
+    vecs = [v for u in nodes for v in vectors[u]]
+    dim = max((i for v in vecs for i in v), default=-1) + 1
+    rows = np.zeros((len(vecs), max(dim, 1)))
+    for r, v in enumerate(vecs):
+        for i, x in v.items():
+            rows[r, i] = x
+    meta = {"kind": "tree-embedding",
+            "point_node": [".".join(map(str, u)) for u in nodes for _ in vectors[u]],
+            "tree_nodes": [list(u) for u in nodes]}
+    return rows, meta

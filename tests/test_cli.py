@@ -333,6 +333,28 @@ class TestMalformedFiles:
         cloud_path.write_text(json.dumps(cloud))
         self._assert_validation_error(_run_module("info", str(cloud_path)))
 
+    @pytest.mark.parametrize("cloud, rule", [
+        ({"metric": "euclidean", "points": [0, [1]]},
+         "cloud field 'points' must hold only numbers or only rows of one length"),
+        ({"metric": "euclidean", "points": [[0, 1], [1]]},
+         "cloud field 'points' must hold only numbers or only rows of one length"),
+        ({"metric": "matrix", "matrix": [[0, 1], [1]]},
+         "cloud field 'matrix' must hold rows of one length"),
+    ])
+    def test_cloud_row_shape(self, tmp_path, cloud, rule):
+        cloud_path = tmp_path / "c.json"
+        cloud_path.write_text(json.dumps(cloud))
+        proc = _run_module("info", str(cloud_path))
+        self._assert_validation_error(proc)
+        assert rule in proc.stderr
+
+    def test_csv_ragged_rows(self, tmp_path):
+        cloud_path = tmp_path / "c.csv"
+        cloud_path.write_text("0,1\n2\n")
+        proc = _run_module("info", str(cloud_path))
+        self._assert_validation_error(proc)
+        assert "CSV rows must all have the first row's 2 values; line 2 has 1" in proc.stderr
+
     @pytest.mark.parametrize("cloud, points", [
         ({"metric": "euclidean", "points": [0.5, 1, 2]}, 3),
         ({"metric": "l1", "points": [[0, 1.5], [1, 2]]}, 2),

@@ -26,9 +26,7 @@ class TestDistance:
 
     def test_l1_disjoint_supports(self):
         # x = 0.5 e_0, y = 0.25 e_3: hand sum over the union of supports
-        from fracdim import SparseVec, sparse_cloud
-        cloud = sparse_cloud([SparseVec.from_dict({0: 0.5}),
-                              SparseVec.from_dict({3: 0.25})])
+        cloud = PointCloud([[0.5, 0, 0, 0], [0, 0, 0, 0.25]], metric="l1")
         assert cloud.metric == "l1"
         assert cloud.distance(0, 1) == pytest.approx(0.75, abs=TOL)
 

@@ -1,13 +1,45 @@
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from fracdim import (FiniteTree, SparseVec, branch_family, coordinate_index,
-                     embed_tree, max_regular_depth, node_vectors,
-                     verify_regular)
+from fracdim import (FiniteTree, PointCloud, branch_family, embed_tree,
+                     max_regular_depth, verify_regular)
+from fracdim.io import cloud_to_dict, dumps_canonical
+from oracles import embed_tree_oracle
 
 TOL = 1e-12
+
+
+def node_rows(tree, cloud, node):
+    """The rows the embedding attaches to ``node``, in construction order."""
+    start = sum(2 ** len(u) for u in tree.nodes[:tree.nodes.index(node)])
+    return cloud.coords[start:start + 2 ** len(node)]
+
+
+def support(row):
+    """A row as {column: value} over its nonzero columns."""
+    return {int(c): float(row[c]) for c in np.flatnonzero(row)}
+
+
+@st.composite
+def prefix_closed_trees(draw, depth=5, children=4, labels=5, max_nodes=30):
+    """Random prefix-closed trees, grown level by level up to ``max_nodes``."""
+    nodes = [()]
+    frontier = [()]
+    for _ in range(depth):
+        grown = []
+        for u in frontier:
+            room = max_nodes - len(nodes) - len(grown)
+            kids = draw(st.lists(st.integers(0, labels), unique=True,
+                                 max_size=min(children, room)))
+            grown.extend(u + (c,) for c in kids)
+        nodes.extend(grown)
+        frontier = grown
+    return FiniteTree(nodes)
 
 
 class TestFiniteTree:
@@ -37,64 +69,94 @@ class TestFiniteTree:
 
 
 class TestCoordinateIndex:
+    """Node ``tree.nodes[i]`` owns columns 2i and 2i + 1 of the embedding."""
+
     def test_root_indices(self):
-        tree = FiniteTree([()])
-        assert coordinate_index(tree, (), 0) == 0
-        assert coordinate_index(tree, (), 1) == 1
+        # no node writes the root's columns; a one-node tree has one column
+        cloud = embed_tree(FiniteTree.full_tree(2, 2))
+        assert not cloud.coords[:, :2].any()
+        root_only = embed_tree(FiniteTree([()]))
+        assert root_only.dim == 1 and not root_only.coords.any()
 
     def test_bfs_enumeration(self):
         tree = FiniteTree([(), (0,), (1,)])
-        assert coordinate_index(tree, (0,), 1) == 3
+        cloud = embed_tree(tree)
+        assert cloud.dim == 6
+        assert [list(np.flatnonzero(row)) for row in cloud.coords] == [[], [2], [3], [4], [5]]
 
     def test_injective_over_node_bit_pairs(self):
+        # the j-th row of node i is its parent's row j // 2 plus one fresh
+        # column, 2i + j % 2, that no other (node, bit) pair uses
         tree = FiniteTree.full_tree(2, 2)
+        cloud = embed_tree(tree)
         seen = set()
-        for node in tree.nodes:
-            for bit in (0, 1):
-                idx = coordinate_index(tree, node, bit)
-                assert idx not in seen
-                seen.add(idx)
+        for i, node in enumerate(tree.nodes[1:], start=1):
+            parent = node_rows(tree, cloud, node[:-1])
+            for j, row in enumerate(node_rows(tree, cloud, node)):
+                fresh = support(row).keys() - support(parent[j // 2]).keys()
+                assert fresh == {2 * i + j % 2}
+                seen.add((i, j % 2))
+        assert len(seen) == 2 * (len(tree) - 1)
 
     def test_unknown_node(self):
         tree = FiniteTree([()])
-        with pytest.raises(ValueError):
-            coordinate_index(tree, (3,), 0)
+        assert (3,) not in tree and () in tree
+        with pytest.raises(ValueError, match="not in tree"):
+            branch_family(tree, (3,), 0)
 
 
 class TestNodeVectors:
+    """The 2^len(u) rows the embedding attaches to each node u."""
+
     def test_root_is_zero(self):
         tree = FiniteTree.single_branch(2)
-        vecs = node_vectors(tree, ())
-        assert vecs == (SparseVec.zero(),)
+        cloud = embed_tree(tree)
+        assert not node_rows(tree, cloud, ()).any()
+        assert cloud.meta["point_node"][0] == ""
 
     def test_counts_double_per_level(self):
         tree = FiniteTree.full_tree(2, 2)
+        owners = Counter(embed_tree(tree).meta["point_node"])
         for node in tree.nodes:
-            assert len(node_vectors(tree, node)) == 2 ** len(node)
+            assert owners[".".join(map(str, node))] == 2 ** len(node)
 
     def test_single_step_distance_one(self):
-        tree = FiniteTree.single_branch(1)
-        a, b = node_vectors(tree, (0,))
-        assert a.l1_distance(b) == 1.0
-        assert a.l1_norm() == 0.5
+        cloud = embed_tree(FiniteTree.single_branch(1))
+        assert cloud.distance(1, 2) == 1.0
+        assert np.abs(cloud.coords[1]).sum() == 0.5
+        assert np.abs(cloud.coords[2]).sum() == 0.5
 
     def test_support_disjointness_makes_distances_exact(self):
-        # l1 distance equals the sum of injected magnitudes on the union
-        # of supports; cross-check against the dense computation
+        # a shared column holds the same magnitude in both rows, so the l1
+        # distance is the sum of the injected magnitudes off the shared support
         tree = FiniteTree.full_tree(2, 2)
         cloud = embed_tree(tree)
-        vecs = [v for node in tree.nodes for v in node_vectors(tree, node)]
-        dim = cloud.dim
-        for i, j in itertools.combinations(range(len(vecs)), 2):
-            sparse = vecs[i].l1_distance(vecs[j])
-            dense = float(np.abs(vecs[i].to_dense(dim) - vecs[j].to_dense(dim)).sum())
-            assert sparse == pytest.approx(dense, abs=TOL)
+        rows = [support(row) for row in cloud.coords]
+        for i, j in itertools.combinations(range(cloud.n), 2):
+            a, b = rows[i], rows[j]
+            assert all(a[c] == b[c] for c in a.keys() & b.keys())
+            hand = sum(a[c] for c in a.keys() - b.keys()) + sum(b[c] for c in b.keys() - a.keys())
+            assert cloud.distance(i, j) == pytest.approx(hand, abs=TOL)
 
 
 class TestEmbedTree:
     def test_root_only(self):
         cloud = embed_tree(FiniteTree([()]))
         assert cloud.n == 1 and cloud.metric == "l1"
+
+    @settings(max_examples=60, deadline=None)
+    @given(tree=prefix_closed_trees())
+    @example(tree=FiniteTree([()]))
+    @example(tree=FiniteTree.single_branch(1))
+    def test_matches_the_sparse_oracle(self, tree):
+        cloud = embed_tree(tree)
+        rows, meta = embed_tree_oracle(tree)
+        assert cloud.coords.dtype == rows.dtype and cloud.coords.shape == rows.shape
+        assert cloud.coords.tobytes() == rows.tobytes()
+        assert cloud.dim == rows.shape[1]
+        assert cloud.meta == meta
+        expected = PointCloud(rows, metric="l1", meta=meta)
+        assert dumps_canonical(cloud_to_dict(cloud)) == dumps_canonical(cloud_to_dict(expected))
 
     def test_branch_sizes(self):
         for b in range(5):
@@ -162,11 +224,10 @@ class TestBranchFamily:
         for branch in tree.nodes:
             fam = branch_family(tree, branch, len(branch), cloud=cloud)
             for s, i in fam.assign.items():
-                vec = SparseVec.zero()
+                vec = np.zeros(cloud.dim)
                 for n, c in enumerate(s):
-                    vec = vec.with_unit(coordinate_index(tree, branch[:n + 1], c),
-                                        2.0 ** (-2 * n - 1))
-                assert np.array_equal(cloud.coords[i], vec.to_dense(cloud.dim))
+                    vec[2 * tree.nodes.index(branch[:n + 1]) + c] = 2.0 ** (-2 * n - 1)
+                assert np.array_equal(cloud.coords[i], vec)
         with pytest.raises(ValueError, match="does not match"):
             branch_family(tree, (1, 2), 2, cloud=embed_tree(FiniteTree.single_branch(2)))
 
@@ -178,7 +239,6 @@ class TestBranchFamily:
 
 class TestMaxRegularDepth:
     def test_single_point(self):
-        from fracdim import PointCloud
         depth, exhausted = max_regular_depth(PointCloud([[0.0]]), 2, 2, cap=3)
         assert (depth, exhausted) == (0, False)
 
