@@ -12,7 +12,8 @@ import json
 import sys
 from typing import Optional
 
-from . import io
+from . import __version__, io
+from .cloud import METRICS
 from .config import RunConfig
 from .generators import GeneratorSpec
 from .lowerdim import ScaleWindow, dimension_bound, lower_dim_estimate
@@ -44,6 +45,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--exact-cutoff", type=int, help="size cutoff for exact solvers")
     parser.add_argument("--budget", type=int, help="node-expansion budget for search")
     sub = parser.add_subparsers(dest="command", required=True)
+    cloud_metric = argparse.ArgumentParser(add_help=False)
+    cloud_metric.add_argument("--metric", choices=METRICS, help="a CSV cloud's metric "
+                              "(default euclidean); a JSON cloud must already have it")
 
     gen = sub.add_parser("generate", help="write an example cloud")
     gen.add_argument("kind", choices=["cantor", "dyadic-grid", "interval-plus-point",
@@ -54,7 +58,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--spec", help="generator-spec JSON file (from-spec kind)")
     gen.add_argument("--out", required=True, help="output cloud JSON path")
 
-    est = sub.add_parser("estimate", help="scale-window lower-dimension estimate")
+    est = sub.add_parser("estimate", parents=[cloud_metric],
+                         help="scale-window lower-dimension estimate")
     est.add_argument("cloud", help="cloud JSON or CSV path")
     est.add_argument("--r-min", type=float, required=True)
     est.add_argument("--r-max", type=float, required=True)
@@ -62,23 +67,22 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--min-gap", type=float, default=4.0)
     est.add_argument("--mode", choices=["exact", "greedy"], default="exact")
     est.add_argument("--csv", help="also write the table as CSV here")
-    est.add_argument("--metric", default="euclidean", help="metric for CSV input")
 
-    cert = sub.add_parser("certify", help="search for a (k,l)-regular certificate")
+    cert = sub.add_parser("certify", parents=[cloud_metric],
+                          help="search for a (k,l)-regular certificate")
     cert.add_argument("cloud")
     cert.add_argument("--k", type=int, required=True)
     cert.add_argument("--l", type=int, required=True)
     cert.add_argument("--depth", type=int, required=True)
     cert.add_argument("--strong", action="store_true")
     cert.add_argument("--out", required=True, help="certificate JSON path")
-    cert.add_argument("--metric", default="euclidean")
 
-    ver = sub.add_parser("verify", help="check a certificate against a cloud")
+    ver = sub.add_parser("verify", parents=[cloud_metric],
+                         help="check a certificate against a cloud")
     ver.add_argument("cloud")
     ver.add_argument("certificate")
     ver.add_argument("--scaling", action="store_true",
                      help="also run the covering-count scaling check")
-    ver.add_argument("--metric", default="euclidean")
 
     emb = sub.add_parser("embed", help="embed a finite tree into an l1 cloud")
     emb.add_argument("tree", help="tree JSON path (list of integer arrays)")
@@ -86,9 +90,9 @@ def build_parser() -> argparse.ArgumentParser:
     emb.add_argument("--depth-scan", action="store_true",
                      help="report the deepest (2,2) certificate of the embedding")
 
-    info = sub.add_parser("info", help="describe a cloud file or the resolved config")
+    info = sub.add_parser("info", parents=[cloud_metric],
+                          help="describe a cloud file or the resolved config")
     info.add_argument("cloud", nargs="?", help="optional cloud path")
-    info.add_argument("--metric", default="euclidean")
     return parser
 
 
@@ -169,8 +173,6 @@ def _cmd_embed(args, cfg: RunConfig) -> int:
 
 
 def _cmd_info(args, cfg: RunConfig) -> int:
-    from . import __version__
-
     if args.cloud is None:
         _emit({"version": __version__, "tol": cfg.tol,
                "exact_cutoff": cfg.exact_cutoff, "budget": cfg.budget})
@@ -215,6 +217,3 @@ def main(argv: Optional[list] = None) -> int:
 def entry() -> None:
     sys.exit(main())
 
-
-if __name__ == "__main__":
-    entry()

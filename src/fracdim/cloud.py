@@ -5,18 +5,21 @@ points under a named metric (``euclidean`` or ``l1``) or by an explicit
 distance matrix.
 
 Every distance the package computes comes from one kernel,
-:func:`_distance_blocks`, so a comparison against ``r + tol`` gives the
-same answer wherever it is made, and every closed ball comes from one rule,
-:func:`_ball`, as a sorted index array.  A coordinate cloud with
-n^2 <= ``_DENSE_CAP`` (n <= 2,896, at most 64 MB) builds its full distance
-matrix the first time rows are asked for (:meth:`PointCloud.dense`,
-``distances_from``, ``pairwise``) and keeps it; matrix clouds use their own
-matrix.  Above the cap, rows are recomputed on each request.  One-pass
-scans (diameters, the smallest gap, packing checks, greedy compatibility
-rows, single distances) read the matrix when it is there and otherwise
-recompute a block of rows at a time, so they never build it and never hold
-more than one block.  The cap was chosen from memory, not from a measured
-crossover: no benchmark workload has a generic cloud near or above it.
+:func:`_distance_blocks`, and every closed ball comes from one rule,
+:func:`_ball`, as a sorted index array.  On sorted 1-D clouds the ball rule
+and the covering and packing sweeps compare shifted coordinates,
+``(x + r) + tol``, not distances with ``r + tol`` as the validators and the
+verifier do; within an ulp of a gap minus ``tol`` the two can disagree.
+A coordinate cloud with n^2 <= ``_DENSE_CAP`` (n <= 2,896, at most 64 MB)
+builds its full distance matrix the first time rows are asked for
+(:meth:`PointCloud.dense`, ``distances_from``, ``pairwise``) and keeps it;
+matrix clouds use their own matrix.  Above the cap, rows are recomputed on
+each request.  One-pass scans (diameters, the smallest gap, packing checks,
+greedy compatibility rows, single distances) read the matrix when it is
+there and otherwise recompute a block of rows at a time, so they never
+build it and never hold more than one block.  The cap was chosen from
+memory, not from a measured crossover: no benchmark workload has a generic
+cloud near or above it.
 
 Coordinates, the stored matrix, the cached matrix and every returned row
 are read-only, so no caller can corrupt the cloud through a view.  The
@@ -59,20 +62,18 @@ class PointCloud:
     """
 
     def __init__(self, points=None, metric: str = "euclidean",
-                 matrix=None, meta: Optional[dict] = None,
-                 tol: float = DEFAULT_TOL):
+                 matrix=None, meta: Optional[dict] = None):
         if metric not in METRICS:
             raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
         self.metric = metric
         self.meta = dict(meta) if meta else {}
-        self._tol = float(tol)
         self._diam: Optional[float] = None
         self._dense: Optional[np.ndarray] = None
         if metric == "matrix":
             if matrix is None:
                 raise ValueError("matrix mode requires a distance matrix")
             self.coords = None
-            self.matrix = _validated_matrix(np.array(matrix, dtype=float), tol)
+            self.matrix = _validated_matrix(np.array(matrix, dtype=float), DEFAULT_TOL)
             self.matrix.setflags(write=False)
             self._dense = self.matrix
             self.n = self.matrix.shape[0]
@@ -92,9 +93,8 @@ class PointCloud:
         )
 
     @classmethod
-    def from_matrix(cls, matrix, meta: Optional[dict] = None,
-                    tol: float = DEFAULT_TOL) -> "PointCloud":
-        return cls(metric="matrix", matrix=matrix, meta=meta, tol=tol)
+    def from_matrix(cls, matrix, meta: Optional[dict] = None) -> "PointCloud":
+        return cls(metric="matrix", matrix=matrix, meta=meta)
 
     @property
     def dim(self) -> Optional[int]:
@@ -217,10 +217,6 @@ class Subset:
     def __len__(self) -> int:
         return int(self.indices.size)
 
-    def coords_1d(self) -> np.ndarray:
-        """Coordinates for sorted-1-D clouds (ascending along the subset)."""
-        return self.cloud.coords[self.indices, 0]
-
     def __repr__(self) -> str:
         return f"Subset({len(self)} of {self.cloud.n})"
 
@@ -316,8 +312,7 @@ def diameter(cloud: PointCloud, subset: Optional[Subset] = None) -> float:
     if idx.size <= 1:
         return 0.0
     if cloud.sorted_1d:
-        c = subset.coords_1d()
-        return float(c[-1] - c[0])
+        return float(cloud.coords[idx[-1], 0] - cloud.coords[idx[0], 0])
     return max(float(block.max()) for _, block in cloud._blocks(idx))
 
 
@@ -345,9 +340,9 @@ def _directed_hausdorff(a: PointCloud, b: PointCloud) -> float:
     if a.sorted_1d and b.sorted_1d:
         xs = a.coords[:, 0]
         ys = b.coords[:, 0]
-        pos = np.clip(np.searchsorted(ys, xs), 1, ys.size - 1) if ys.size > 1 else np.zeros(xs.size, int)
-        left = np.abs(xs - ys[pos - 1]) if ys.size > 1 else np.abs(xs - ys[0])
-        right = np.abs(xs - ys[pos]) if ys.size > 1 else left
+        pos = np.searchsorted(ys, xs)
+        left = np.abs(xs - ys[np.maximum(pos - 1, 0)])
+        right = np.abs(xs - ys[np.minimum(pos, ys.size - 1)])
         return float(np.minimum(left, right).max())
     return max(float(block.min(axis=1).max())
                for _, block in _distance_blocks(a.coords, b.coords, a.metric))
@@ -355,8 +350,6 @@ def _directed_hausdorff(a: PointCloud, b: PointCloud) -> float:
 
 def hausdorff_distance(a: PointCloud, b: PointCloud) -> float:
     """Smallest r with each cloud inside the closed r-neighborhood of the other."""
-    if a.n == 0 or b.n == 0:
-        raise ValueError("Hausdorff distance requires non-empty clouds")
     if a.metric == "matrix" or b.metric == "matrix":
         raise ValueError("incompatible metric modes: explicit-matrix clouds share no ambient space")
     if a.metric != b.metric or a.dim != b.dim:

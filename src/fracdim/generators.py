@@ -48,8 +48,15 @@ def interval_plus_point_cloud(resolution: int) -> PointCloud:
                       meta={"kind": "interval-plus-point", "resolution": resolution})
 
 
-def _polarized_values(depth: int):
-    """Label-to-coordinate map: each digit c at position i adds (2c-1) * 2^(-2i-1)."""
+def polarized_example_cloud(depth: int) -> PointCloud:
+    """The discrete cloud of all binary-label partial sums up to ``depth``.
+
+    Carries the label-to-index map in ``meta`` so the natural family
+    labeling can be reconstructed; see :func:`polarized_natural_family`.
+    """
+    if not 1 <= depth <= 12:
+        raise ValueError("depth must be in 1..12")
+    # label to coordinate: each digit c at position i adds (2c-1) * 2^(-2i-1)
     values = {(): 0.0}
     frontier = [()]
     for n in range(depth):
@@ -60,18 +67,6 @@ def _polarized_values(depth: int):
                 values[s + (c,)] = values[s] + (2 * c - 1) * step
                 nxt.append(s + (c,))
         frontier = nxt
-    return values
-
-
-def polarized_example_cloud(depth: int) -> PointCloud:
-    """The discrete cloud of all binary-label partial sums up to ``depth``.
-
-    Carries the label-to-index map in ``meta`` so the natural family
-    labeling can be reconstructed; see :func:`polarized_natural_family`.
-    """
-    if not 1 <= depth <= 12:
-        raise ValueError("depth must be in 1..12")
-    values = _polarized_values(depth)
     coords = sorted(set(values.values()))
     if len(coords) != len(values):
         raise AssertionError("polarized values collided; generator bug")
@@ -123,18 +118,13 @@ def neighborhood_cascade(cloud: PointCloud, center: int, epsilon: float,
     if depth < 1:
         raise ValueError("depth must be at least 1")
     cloud._check_index(center)
-    current = {int(i) for i in np.flatnonzero(cloud.distances_from(center) < epsilon - tol)}
-    current.add(center)
-    union = set(current)
+    inside = cloud.distances_from(center) < epsilon - tol
+    inside[center] = True
     for n in range(2, depth + 1):
         radius = epsilon ** n
-        grown = set(current)
-        for v in sorted(current):
-            near = np.flatnonzero(cloud.distances_from(v) < radius - tol)
-            grown.update(int(i) for i in near)
-        current = grown
-        union.update(grown)
-    return cloud.subset(union)
+        for v in np.flatnonzero(inside):
+            inside |= cloud.distances_from(v) < radius - tol
+    return Subset(cloud, np.flatnonzero(inside))
 
 
 # The one-parameter kinds: each one's generator and the spec field it reads.

@@ -21,7 +21,7 @@ import json
 import math
 import sys
 from json.encoder import encode_basestring_ascii as _quote
-from typing import List
+from typing import List, Optional
 
 import numpy as np
 
@@ -153,9 +153,9 @@ def dumps_canonical(obj, indent: int = 0) -> str:
     return _Encoder(indent).encode(obj, 0)
 
 
-def write_json(obj, path: str, indent: int = 2) -> None:
+def write_json(obj, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_canonical(obj, indent=indent))
+        fh.write(dumps_canonical(obj, indent=2))
         fh.write("\n")
 
 
@@ -197,12 +197,16 @@ def write_cloud(cloud: PointCloud, path: str) -> None:
     write_json(cloud_to_dict(cloud), path)
 
 
-def read_cloud(path: str, metric: str = "euclidean") -> PointCloud:
-    """Read a cloud from JSON, or from CSV (one coordinate point per row)."""
+def read_cloud(path: str, metric: Optional[str] = None) -> PointCloud:
+    """Read a cloud from JSON, or from CSV (one coordinate point per row, under
+    ``metric``, default euclidean); a JSON cloud must have ``metric`` if given."""
     if str(path).lower().endswith(".csv"):
-        return read_cloud_csv(path, metric=metric)
+        return read_cloud_csv(path, metric=metric or "euclidean")
     with open(path, "r", encoding="utf-8") as fh:
-        return cloud_from_dict(json.load(fh))
+        cloud = cloud_from_dict(json.load(fh))
+    if metric is not None and metric != cloud.metric:
+        raise ValueError(f"the cloud file's metric is {cloud.metric!r}, not the given {metric!r}")
+    return cloud
 
 
 def read_cloud_csv(path: str, metric: str = "euclidean") -> PointCloud:
@@ -217,7 +221,14 @@ def read_cloud_csv(path: str, metric: str = "euclidean") -> PointCloud:
             if rows and len(row) != len(rows[0]):
                 raise ValueError(f"CSV rows must all have the first row's {len(rows[0])}"
                                  f" values; line {reader.line_num} has {len(row)}")
-            rows.append([float(cell) for cell in row])
+            try:
+                values = [float(cell) for cell in row]
+            except ValueError:
+                values = [math.nan]
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"CSV cells must be finite numbers; line {reader.line_num}"
+                                 f" has {','.join(row)!r}")
+            rows.append(values)
     return PointCloud(rows, metric=metric)
 
 
@@ -234,12 +245,8 @@ def read_certificate(path: str) -> RegularFamily:
 
 # ------------------------------------------------------------------ trees
 
-def tree_to_list(tree: FiniteTree) -> list:
-    return [list(u) for u in tree.nodes]
-
-
 def write_tree(tree: FiniteTree, path: str) -> None:
-    write_json(tree_to_list(tree), path)
+    write_json([list(u) for u in tree.nodes], path)
 
 
 def read_tree(path: str) -> FiniteTree:

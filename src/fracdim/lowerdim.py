@@ -90,7 +90,6 @@ class EstimateReport:
     table: List[Tuple[int, float, float, int, float]]
     window: ScaleWindow
     mode: str
-    semantics: str = SEMANTICS_NOTE
 
     def to_dict(self) -> dict:
         return {
@@ -99,7 +98,7 @@ class EstimateReport:
             {"center": self.argmin[0], "R": self.argmin[1], "r": self.argmin[2]},
             "window": self.window.to_dict(),
             "mode": self.mode,
-            "semantics": self.semantics,
+            "semantics": SEMANTICS_NOTE,
             "table": [
                 {"center": c, "R": R, "r": r, "count": n, "exponent": e}
                 for (c, R, r, n, e) in self.table
@@ -118,26 +117,19 @@ def lower_dim_estimate(cloud: PointCloud, window: ScaleWindow, mode: str = "exac
     """
     if mode not in ("exact", "greedy"):
         raise ValueError(f"unknown mode {mode!r}")
-    if cloud.n == 0:
-        raise ValueError("cloud must be non-empty")
     pairs = window.pairs(diam_cap=cloud.diam(), tol=tol)
     if cloud.dim == 1:
         counts = _counts_1d(cloud, pairs, tol)
     else:
         counts = _counts_generic(cloud, pairs, mode, tol, exact_cutoff)
     table: List[Tuple[int, float, float, int, float]] = []
-    best: Optional[float] = None
-    argmin: Optional[Tuple[int, float, float]] = None
     for center, row in enumerate(counts):
         for (R, r), count in zip(pairs, row):
-            exponent = math.log(count) / math.log(R / r)
-            table.append((center, R, r, count, exponent))
-            if best is None or exponent < best:
-                best = exponent
-                argmin = (center, R, r)
-    if best is None:
+            table.append((center, R, r, count, math.log(count) / math.log(R / r)))
+    if not table:
         return EstimateReport(0.0, None, [], window, mode)
-    return EstimateReport(best, argmin, table, window, mode)
+    center, R, r, _, exponent = min(table, key=lambda entry: entry[4])   # the first minimum
+    return EstimateReport(exponent, (center, R, r), table, window, mode)
 
 
 def _counts_1d(cloud: PointCloud, pairs: List[Tuple[float, float]],

@@ -64,11 +64,13 @@ def exact_pack_oracle(dmat: np.ndarray, sep: float, tol: float = 1e-12) -> int:
         close[v] = mask
     masks = np.arange(full, dtype=np.int64)
     ok = np.ones(full, dtype=bool)
+    size = np.zeros(full, dtype=np.int64)   # set bits of each mask (numpy 1.x has no bitwise_count)
     for v in range(n):
         has_v = (masks >> v) & 1 == 1
         conflict = (masks & close[v]) != 0
         ok &= ~(has_v & conflict)
-    return int(np.bitwise_count(masks[ok].astype(np.uint64)).max())
+        size += has_v
+    return int(size[ok].max())
 
 
 def certified_cover_count_1d(coords: np.ndarray, r: float, tol: float = 1e-12) -> int:

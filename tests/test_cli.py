@@ -41,6 +41,17 @@ class TestGenerate:
                                "--out", str(tmp_path / "x.json"))
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("generate", "cantor", "--level", "3"),
+        ("generate", "from-spec", "--out", "o.json"),
+        ("estimate", "c.json", "--r-max", "0.5"),
+        ("info", "--metric", "bogus"),
+    ])
+    def test_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("usage error: ")
+
     def test_from_spec(self, capsys, tmp_path):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({
@@ -251,6 +262,58 @@ class TestInfoAndConfig:
         code, _, err = run_cli(capsys, "--config", str(cfg_path), "info")
         assert code == 2
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--tol", "0", "tol must be positive"),
+        ("--tol", "-1e-9", "tol must be positive"),
+        ("--exact-cutoff", "3", "exact_cutoff must be at least 4"),
+        ("--budget", "0", "budget must be at least 1"),
+    ])
+    def test_config_value_refused(self, capsys, flag, value, message):
+        code, _, err = run_cli(capsys, f"{flag}={value}", "info")
+        assert code == 2
+        assert err == f"validation error: {message}\n"
+
+
+class TestMetricFlag:
+    """``--metric`` sets a CSV cloud's metric and must match a JSON cloud's own."""
+
+    def _json(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"metric": "euclidean", "points": [[0, 0], [3, 4]]}))
+        return str(path)
+
+    @pytest.mark.parametrize("extra", [(), ("--metric", "euclidean")])
+    def test_json_with_its_own_metric(self, capsys, tmp_path, extra):
+        code, out, _ = run_cli(capsys, "info", self._json(tmp_path), *extra)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["metric"] == "euclidean" and payload["diameter"] == 5.0
+
+    def test_json_with_another_metric(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "info", self._json(tmp_path), "--metric", "l1")
+        assert code == 2 and out == ""
+        assert err == ("validation error: the cloud file's metric is 'euclidean', "
+                       "not the given 'l1'\n")
+
+    @pytest.mark.parametrize("extra, metric, diameter", [
+        ((), "euclidean", 5.0), (("--metric", "l1"), "l1", 7.0)])
+    def test_csv_takes_the_metric(self, capsys, tmp_path, extra, metric, diameter):
+        path = tmp_path / "c.csv"
+        path.write_text("0,0\n3,4\n")
+        code, out, _ = run_cli(capsys, "info", str(path), *extra)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["metric"] == metric and payload["diameter"] == diameter
+
+    @pytest.mark.parametrize("command", ["estimate", "certify", "verify"])
+    def test_every_cloud_command_checks_it(self, capsys, tmp_path, command):
+        rest = {"estimate": ["--r-min", "0.5", "--r-max", "4"],
+                "certify": ["--k", "2", "--l", "2", "--depth", "1", "--out", "x.json"],
+                "verify": ["cert.json"]}[command]
+        code, _, err = run_cli(capsys, command, self._json(tmp_path), *rest, "--metric", "l1")
+        assert code == 2
+        assert "the cloud file's metric is 'euclidean', not the given 'l1'" in err
+
 
 def _run_module(*argv):
     return subprocess.run([sys.executable, "-m", "fracdim", *argv],
@@ -354,6 +417,15 @@ class TestMalformedFiles:
         proc = _run_module("info", str(cloud_path))
         self._assert_validation_error(proc)
         assert "CSV rows must all have the first row's 2 values; line 2 has 1" in proc.stderr
+
+    @pytest.mark.parametrize("cell", ["x", "nan", "inf", "-inf", ""])
+    def test_csv_cell_not_a_finite_number(self, tmp_path, cell):
+        cloud_path = tmp_path / "c.csv"
+        cloud_path.write_text(f"0,1\n2,{cell}\n")
+        proc = _run_module("info", str(cloud_path))
+        self._assert_validation_error(proc)
+        assert proc.stderr == ("validation error: CSV cells must be finite numbers; "
+                               f"line 2 has '2,{cell}'\n")
 
     @pytest.mark.parametrize("cloud, points", [
         ({"metric": "euclidean", "points": [0.5, 1, 2]}, 3),

@@ -120,6 +120,7 @@ class TestHausdorff:
         a = PointCloud([[0.0]])
         b = PointCloud([[0.0], [1.0]])
         assert hausdorff_distance(a, b) == pytest.approx(1.0, abs=TOL)
+        assert hausdorff_distance(a, b) == brute_hausdorff(a.coords, b.coords)
 
     def test_shifted_grid(self, grid11):
         shifted = PointCloud(np.arange(11) * 0.1 + 0.03)
@@ -169,6 +170,25 @@ class TestConstruction:
         with pytest.raises(ValueError, match="non-empty 2-D array"):
             PointCloud(points)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"points": [[0.0]], "metric": "chebyshev"}, "unknown metric"),
+        ({"metric": "matrix"}, "matrix mode requires a distance matrix"),
+        ({"metric": "euclidean"}, "coordinate mode requires points"),
+        ({"points": [[0.0]], "matrix": [[0.0]]}, "matrix only allowed"),
+        ({"points": [[0.0], [np.nan]]}, "points must be finite"),
+        ({"points": [[0.0], [np.inf]], "metric": "l1"}, "points must be finite"),
+        ({"metric": "matrix", "matrix": [[0.0, 1.0]]}, "square and non-empty"),
+        ({"metric": "matrix", "matrix": [[0.0, np.inf], [np.inf, 0.0]]}, "must be finite"),
+        ({"metric": "matrix", "matrix": [[0.5, 1.0], [1.0, 0.0]]}, "diagonal must be zero"),
+    ])
+    def test_constructor_refusals(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            PointCloud(**kwargs)
+
+    def test_one_point_cloud_has_no_gap(self):
+        assert PointCloud([[0.5, 1.0]]).min_positive_gap() == 0.0
+        assert PointCloud.from_matrix([[0.0]]).min_positive_gap() == 0.0
+
     def test_matrix_validation(self):
         PointCloud.from_matrix([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
         with pytest.raises(ValueError, match="symmetric"):
@@ -214,6 +234,14 @@ class TestConstruction:
         np.fill_diagonal(dmat, 0.0)
         dmat = np.minimum(dmat, dmat.T)
         assert PointCloud.from_matrix(dmat).n == 600
+
+    def test_matrix_sampled_check_refuses(self):
+        # point 0 sits within 0.001 of every other point of a line of 600
+        x = np.arange(600.0)
+        dmat = np.abs(x[:, None] - x[None, :])
+        dmat[0, 1:] = dmat[1:, 0] = 0.001
+        with pytest.raises(ValueError, match=r"triangle inequality violated \(sampled\)"):
+            PointCloud.from_matrix(dmat)
 
     def test_subset_validation(self, grid11):
         with pytest.raises(IndexError):

@@ -9,9 +9,9 @@ import fracdim.cloud as cloud_module
 from fracdim import (PointCloud, Subset, cantor_cloud, covering_number,
                      maximal_separated_family, packing_number, validate_cover,
                      validate_packing)
-from fracdim.covering import (_bb_max_separated, _bb_min_clique_cover, _greedy_cover_parts,
-                              _greedy_pack_indices, _separated_lower_bound,
-                              _sweep_cover_counts, _sweep_cover_parts)
+from fracdim.covering import (CoverResult, PackResult, _bb_max_separated,
+                              _bb_min_clique_cover, _greedy_cover_parts, _greedy_pack_indices,
+                              _separated_lower_bound, _sweep_cover_counts, _sweep_cover_parts)
 from oracles import (bb_max_separated_oracle, bb_min_clique_cover_oracle,
                      certified_cover_count_1d, distance_row_oracle, exact_cover_oracle,
                      exact_pack_oracle, greedy_cover_oracle, greedy_pack_oracle,
@@ -53,6 +53,36 @@ class TestCoveringExamples:
         # auto mode falls back to greedy instead
         res = covering_number(cloud.all_indices(), 0.3, mode="auto", exact_cutoff=20)
         assert not res.exact
+
+    @pytest.mark.parametrize("mode", ["exact", "greedy"])
+    def test_empty_subset_counts_zero(self, grid11, mode):
+        empty = Subset(grid11, [])
+        cover = covering_number(empty, 0.5, mode=mode)
+        assert cover.count == 0 and cover.parts == [] and validate_cover(empty, cover, 0.5)
+        pack = packing_number(empty, 0.5, mode=mode)
+        assert pack.count == 0 and len(pack.witnesses) == 0 and validate_packing(pack, 0.5)
+
+
+class TestWitnessCheckers:
+    """The independent checkers refuse witnesses that do not match their claim."""
+
+    def test_cover_missing_a_point(self, grid11):
+        sub = grid11.all_indices()
+        res = covering_number(sub, 0.35, mode="exact")
+        assert validate_cover(sub, res, 0.35)
+        short = CoverResult(res.count, [res.parts[0], res.parts[1], grid11.subset([7, 8, 9])],
+                            res.exact)
+        assert not validate_cover(sub, short, 0.35)
+
+    def test_cover_count_disagrees_with_parts(self, grid11):
+        sub = grid11.all_indices()
+        res = covering_number(sub, 0.35, mode="exact")
+        assert not validate_cover(sub, CoverResult(res.count - 1, res.parts, res.exact), 0.35)
+
+    def test_packing_count_disagrees_with_witnesses(self, grid11):
+        res = packing_number(grid11.all_indices(), 0.25, mode="exact")
+        assert validate_packing(res, 0.25)
+        assert not validate_packing(PackResult(res.count + 1, res.witnesses, res.exact), 0.25)
 
 
 class TestPackingExamples:

@@ -63,6 +63,17 @@ class TestVerify:
         with pytest.raises(ValueError):
             RegularFamily(2, 2, 1, False, {(): 0, (0,): 1})
 
+    @pytest.mark.parametrize("k, l, depth, assign, message", [
+        (1, 2, 0, {(): 0}, "need k >= 2 and l >= 2"),
+        (2, 1, 0, {(): 0}, "need k >= 2 and l >= 2"),
+        (2, 2, -1, {(): 0}, "depth must be nonnegative"),
+        (2, 2, 1, {(): 0, (0,): 1, (2,): 2}, "invalid label"),
+        (2, 2, 1, {(): 0, (0,): 1, (0, 1): 2}, "invalid label"),
+    ])
+    def test_shape_refusals(self, k, l, depth, assign, message):
+        with pytest.raises(ValueError, match=message):
+            RegularFamily(k, l, depth, False, assign)
+
 
 class TestSearch:
     def test_two_point_absent(self, two_points):
