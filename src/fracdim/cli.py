@@ -117,7 +117,7 @@ def _cmd_generate(args, cfg: RunConfig) -> int:
 
 
 def _cmd_estimate(args, cfg: RunConfig) -> int:
-    cloud = io.read_cloud(args.cloud, metric=args.metric)
+    cloud = io.read_cloud(args.cloud, metric=args.metric, tol=cfg.tol)
     window = ScaleWindow(args.r_min, args.r_max, args.ratio, args.min_gap)
     report = lower_dim_estimate(cloud, window, mode=args.mode, tol=cfg.tol,
                                 exact_cutoff=cfg.exact_cutoff)
@@ -128,7 +128,7 @@ def _cmd_estimate(args, cfg: RunConfig) -> int:
 
 
 def _cmd_certify(args, cfg: RunConfig) -> int:
-    cloud = io.read_cloud(args.cloud, metric=args.metric)
+    cloud = io.read_cloud(args.cloud, metric=args.metric, tol=cfg.tol)
     res = search_regular(cloud, args.k, args.l, args.depth, strong=args.strong,
                          budget=cfg.budget, tol=cfg.tol)
     if res.family is None:
@@ -144,7 +144,7 @@ def _cmd_certify(args, cfg: RunConfig) -> int:
 
 
 def _cmd_verify(args, cfg: RunConfig) -> int:
-    cloud = io.read_cloud(args.cloud, metric=args.metric)
+    cloud = io.read_cloud(args.cloud, metric=args.metric, tol=cfg.tol)
     family = io.read_certificate(args.certificate)
     report = verify_regular(cloud, family, tol=cfg.tol)
     payload = report.to_dict()
@@ -177,7 +177,7 @@ def _cmd_info(args, cfg: RunConfig) -> int:
         _emit({"version": __version__, "tol": cfg.tol,
                "exact_cutoff": cfg.exact_cutoff, "budget": cfg.budget})
         return EXIT_OK
-    cloud = io.read_cloud(args.cloud, metric=args.metric)
+    cloud = io.read_cloud(args.cloud, metric=args.metric, tol=cfg.tol)
     _emit({"points": cloud.n, "metric": cloud.metric, "diameter": cloud.diam(),
            "min_gap": cloud.min_positive_gap()})
     return EXIT_OK

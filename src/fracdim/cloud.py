@@ -6,10 +6,10 @@ distance matrix.
 
 Every distance the package computes comes from one kernel,
 :func:`_distance_blocks`, and every closed ball comes from one rule,
-:func:`_ball`, as a sorted index array.  On sorted 1-D clouds the ball rule
-and the covering and packing sweeps compare shifted coordinates,
-``(x + r) + tol``, not distances with ``r + tol`` as the validators and the
-verifier do; within an ulp of a gap minus ``tol`` the two can disagree.
+:func:`_ball`, as a sorted index array.  On sorted 1-D clouds balls and the
+covering and packing sweeps find where a run of positions ends with
+:func:`_run_end`, which compares the kernel's distances, as the validators
+and the verifier do.
 A coordinate cloud with n^2 <= ``_DENSE_CAP`` (n <= 2,896, at most 64 MB)
 builds its full distance matrix the first time rows are asked for
 (:meth:`PointCloud.dense`, ``distances_from``, ``pairwise``) and keeps it;
@@ -28,6 +28,7 @@ and rebuilding them gives the same values, so concurrent use is safe.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -58,11 +59,12 @@ class PointCloud:
     validated symmetric nonnegative matrix with zero diagonal.  Duplicate
     points (zero off-diagonal distance) are rejected at construction:
     separation checks downstream presuppose distinct points, and silently
-    merging would hide generator bugs.
+    merging would hide generator bugs.  ``tol`` is the absolute tolerance of
+    a matrix's symmetry and triangle checks; the cloud does not keep it.
     """
 
     def __init__(self, points=None, metric: str = "euclidean",
-                 matrix=None, meta: Optional[dict] = None):
+                 matrix=None, meta: Optional[dict] = None, tol: float = DEFAULT_TOL):
         if metric not in METRICS:
             raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
         self.metric = metric
@@ -73,7 +75,7 @@ class PointCloud:
             if matrix is None:
                 raise ValueError("matrix mode requires a distance matrix")
             self.coords = None
-            self.matrix = _validated_matrix(np.array(matrix, dtype=float), DEFAULT_TOL)
+            self.matrix = _validated_matrix(np.array(matrix, dtype=float), tol)
             self.matrix.setflags(write=False)
             self._dense = self.matrix
             self.n = self.matrix.shape[0]
@@ -328,11 +330,35 @@ def closed_ball(cloud: PointCloud, center: int, radius: float,
 def _ball(cloud: PointCloud, center: int, radius: float, tol: float) -> np.ndarray:
     """Sorted indices within ``radius + tol`` of ``center``: the one ball rule, unchecked."""
     if cloud.sorted_1d:
-        x = cloud.coords[center, 0]
-        lo = int(np.searchsorted(cloud.coords[:, 0], x - radius - tol, side="left"))
-        hi = int(np.searchsorted(cloud.coords[:, 0], x + radius + tol, side="right"))
-        return np.arange(lo, hi, dtype=np.int64)
+        return np.arange(*_ball_bounds(cloud.coords[:, 0], center, radius + tol), dtype=np.int64)
     return np.flatnonzero(cloud.distances_from(center) <= radius + tol).astype(np.int64)
+
+
+def _ball_bounds(x: np.ndarray, center, bound: float):
+    """(lo, hi): ``x[lo:hi]`` is the closed ball of radius ``bound`` around ``x[center]``."""
+    return _run_end(x, center, math.nextafter(-bound, -math.inf)), _run_end(x, center, bound)
+
+
+def _run_end(x: np.ndarray, start, bound: float):
+    """The 1-D rule: how many positions j of strictly increasing ``x`` have
+    ``x[j] - x[start] <= bound``, rounded as :func:`_distance_blocks` rounds it
+    (pass the float below a bound for ``<``).  Rounding is monotone, so these are
+    a prefix, whose end a search for ``x[start] + bound`` misses by a few positions
+    at most.  ``start`` is one position (float compares) or an array (vectorized)."""
+    n, xs = x.size, x[start]
+    end = x.searchsorted(xs + bound, side="right")
+    if not isinstance(start, np.ndarray):
+        end = int(end)
+        while end < n and x[end] - xs <= bound:
+            end += 1
+        while end > 0 and x[end - 1] - xs > bound:
+            end -= 1
+        return end
+    while (up := (end < n) & (x[np.minimum(end, n - 1)] - xs <= bound)).any():
+        end += up
+    while (down := (end > 0) & (x[np.maximum(end - 1, 0)] - xs > bound)).any():
+        end -= down
+    return end
 
 
 def _directed_hausdorff(a: PointCloud, b: PointCloud) -> float:

@@ -6,6 +6,7 @@ maximum independent set at separation >= sep.  Both run branch-and-bound on
 generic metrics up to a size cutoff.  Sorted 1-D clouds take a sweep fast
 path that is provably optimal at any size: the leftmost uncovered point must
 start some part, and widening that part to everything within r never hurts.
+The sweeps compare distances as the validators do (``cloud._run_end``).
 
 Callers that need only 1-D counts, not witnesses, use a doubling table
 instead: the sweep's jump ``i -> next_r[i]`` is composed with itself
@@ -28,6 +29,7 @@ witnesses are reproducible across runs and platforms.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -56,13 +58,10 @@ def _sweep_cover_parts(cloud: PointCloud, idx: np.ndarray, r: float,
                        tol: float) -> List[np.ndarray]:
     """Greedy sweep on sorted ``idx`` of a sorted-1-D cloud; optimal (see module docstring)."""
     coords = cloud.coords[idx, 0]
-    parts = []
-    start = 0
-    while start < idx.size:
-        stop = int(np.searchsorted(coords, coords[start] + r + tol, side="right"))
-        parts.append(idx[start:stop])
-        start = stop
-    return parts
+    ends = [0]
+    while ends[-1] < idx.size:
+        ends.append(_cloud._run_end(coords, ends[-1], r + tol))
+    return [idx[a:b] for a, b in zip(ends, ends[1:])]
 
 
 def _sweep_cover_counts(x: np.ndarray, r: float, lo: np.ndarray, hi: np.ndarray,
@@ -70,18 +69,17 @@ def _sweep_cover_counts(x: np.ndarray, r: float, lo: np.ndarray, hi: np.ndarray,
     """Sweep cover count at ``r`` of every range ``x[lo[i]:hi[i]]``, with no parts built.
 
     ``x`` is strictly increasing.  ``next_r[i]`` is where the sweep's part
-    starting at ``i`` ends, computed as ``(x[i] + r) + tol`` exactly like
+    starting at ``i`` ends, by :func:`fracdim.cloud._run_end` as in
     :func:`_sweep_cover_parts`, so every count equals the length of its
     parts list.  A count is 1 plus the number of jumps from ``lo`` that stay
     below ``hi``, taken greedily from the largest power of two down.  Empty
     ranges count 0.
     """
-    lo = np.asarray(lo, dtype=np.int64)
-    hi = np.asarray(hi, dtype=np.int64)
+    lo, hi = np.asarray(lo, dtype=np.int64), np.asarray(hi, dtype=np.int64)
     n = x.size
     # Sentinel n: a jump out of the last part stays at n, never below hi.
     jump = np.full(n + 1, n, dtype=np.int64)
-    jump[:n] = np.searchsorted(x, x + r + tol, side="right")
+    jump[:n] = _cloud._run_end(x, np.arange(n), r + tol)
     # jumps[j] = next_r composed 2^j times; n - 1 jumps is the most a range needs.
     jumps = [jump]
     for _ in range((n - 1).bit_length() - 1):
@@ -100,24 +98,19 @@ def _sweep_cover_counts(x: np.ndarray, r: float, lo: np.ndarray, hi: np.ndarray,
 def _ball_cover_counts_1d(x: np.ndarray, R: float, r: float, tol: float) -> np.ndarray:
     """Sweep cover count at ``r`` of the closed ball B(x[i], R) within ``x``, for every i.
 
-    ``x`` is strictly increasing; the ball bounds ``(x[i] - R) - tol`` and
-    ``(x[i] + R) + tol`` are those of :func:`fracdim.cloud._ball`.
+    ``x`` is strictly increasing; the balls are those of :func:`fracdim.cloud._ball`.
     """
-    lo = np.searchsorted(x, x - R - tol, side="left")
-    hi = np.searchsorted(x, x + R + tol, side="right")
-    return _sweep_cover_counts(x, r, lo, hi, tol)
+    return _sweep_cover_counts(x, r, *_cloud._ball_bounds(x, np.arange(x.size), R + tol), tol)
 
 
 def _sweep_pack(coords: np.ndarray, sep: float, tol: float) -> np.ndarray:
-    """Positions of the leftmost-first sep-separated family in non-empty, strictly
-    increasing ``coords``; the family is maximum (no larger one exists)."""
+    """Positions of the leftmost-first sep-separated family, which is maximum, in non-empty,
+    strictly increasing ``coords``; each is at least one past the last, even if sep <= tol."""
+    below = math.nextafter(sep - tol, -math.inf)    # d < sep - tol is d <= below
     chosen = [0]
-    pos = 0
-    while True:
-        pos = int(np.searchsorted(coords, coords[pos] + sep - tol, side="left"))
-        if pos >= coords.size:
-            return np.asarray(chosen, dtype=np.int64)
+    while (pos := max(_cloud._run_end(coords, chosen[-1], below), chosen[-1] + 1)) < coords.size:
         chosen.append(pos)
+    return np.asarray(chosen, dtype=np.int64)
 
 
 def _relation_rows(cloud: PointCloud, idx: np.ndarray, related) -> List[int]:

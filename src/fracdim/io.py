@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 import sys
 from json.encoder import encode_basestring_ascii as _quote
 from typing import List, Optional
@@ -26,10 +27,13 @@ from typing import List, Optional
 import numpy as np
 
 from .cloud import PointCloud
-from .config import _JSON_CHECKS, _checked_object
+from .config import _JSON_CHECKS, DEFAULT_TOL, _checked_object
 from .lowerdim import EstimateReport
 from .regular import RegularFamily
 from .trees import FiniteTree
+
+# a plain decimal number: no digit separators, inf, nan or non-ASCII digits
+_CSV_NUMBER = re.compile(r"\s*[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?\s*")
 
 
 def _fmt_float(x: float) -> str:
@@ -167,12 +171,12 @@ def cloud_to_dict(cloud: PointCloud) -> dict:
     return {"metric": cloud.metric, "points": cloud.coords.tolist()}
 
 
-def cloud_from_dict(data: dict) -> PointCloud:
+def cloud_from_dict(data: dict, tol: float = DEFAULT_TOL) -> PointCloud:
     """The cloud a JSON object describes; malformed input raises ValueError.
 
     Coordinate clouds hold ``metric`` and ``points`` (rows of numbers, all
     of one length, or numbers for a 1-D cloud); matrix clouds hold
-    ``metric`` and ``matrix`` (rows of numbers, all of one length).
+    ``metric`` and ``matrix`` (rows of numbers, all of one length, a metric within ``tol``).
     """
     key = "matrix" if isinstance(data, dict) and data.get("metric") == "matrix" else "points"
     data = _checked_object(data, "cloud", {"metric": "a string", key: "a list"},
@@ -189,7 +193,7 @@ def cloud_from_dict(data: dict) -> PointCloud:
     if not all(number(x) and abs(x) <= sys.float_info.max for x in entries):
         raise ValueError(f"cloud field {key!r} must hold only finite numbers")
     if key == "matrix":
-        return PointCloud.from_matrix(rows)
+        return PointCloud(metric="matrix", matrix=rows, tol=tol)
     return PointCloud(rows, metric=data["metric"])
 
 
@@ -197,13 +201,13 @@ def write_cloud(cloud: PointCloud, path: str) -> None:
     write_json(cloud_to_dict(cloud), path)
 
 
-def read_cloud(path: str, metric: Optional[str] = None) -> PointCloud:
-    """Read a cloud from JSON, or from CSV (one coordinate point per row, under
-    ``metric``, default euclidean); a JSON cloud must have ``metric`` if given."""
+def read_cloud(path: str, metric: Optional[str] = None, tol: float = DEFAULT_TOL) -> PointCloud:
+    """Read a cloud from JSON (of ``metric`` if given; a matrix must be a metric within
+    ``tol``) or from CSV (one coordinate point per row, under ``metric``, default euclidean)."""
     if str(path).lower().endswith(".csv"):
         return read_cloud_csv(path, metric=metric or "euclidean")
     with open(path, "r", encoding="utf-8") as fh:
-        cloud = cloud_from_dict(json.load(fh))
+        cloud = cloud_from_dict(json.load(fh), tol)
     if metric is not None and metric != cloud.metric:
         raise ValueError(f"the cloud file's metric is {cloud.metric!r}, not the given {metric!r}")
     return cloud
@@ -221,10 +225,7 @@ def read_cloud_csv(path: str, metric: str = "euclidean") -> PointCloud:
             if rows and len(row) != len(rows[0]):
                 raise ValueError(f"CSV rows must all have the first row's {len(rows[0])}"
                                  f" values; line {reader.line_num} has {len(row)}")
-            try:
-                values = [float(cell) for cell in row]
-            except ValueError:
-                values = [math.nan]
+            values = [float(cell) if _CSV_NUMBER.fullmatch(cell) else math.nan for cell in row]
             if not all(map(math.isfinite, values)):
                 raise ValueError(f"CSV cells must be finite numbers; line {reader.line_num}"
                                  f" has {','.join(row)!r}")

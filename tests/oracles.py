@@ -77,14 +77,15 @@ def certified_cover_count_1d(coords: np.ndarray, r: float, tol: float = 1e-12) -
     """Exact 1-D covering count, certified by an equal-size separated family.
 
     Raises if the sweep count and the forced lower bound disagree, so a
-    returned value is always provably optimal.
+    returned value is always provably optimal.  Both compare distances with
+    ``r + tol``, as the validators do.
     """
     xs = np.sort(np.asarray(coords, dtype=float))
     count = 0
     i = 0
     while i < xs.size:
         j = i
-        while j < xs.size and xs[j] <= xs[i] + r + tol:
+        while j < xs.size and xs[j] - xs[i] <= r + tol:
             j += 1
         count += 1
         i = j

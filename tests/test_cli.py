@@ -156,6 +156,20 @@ class TestCertify:
         assert code == 3
         assert json.loads(out)["reason"] == "budget exhausted"
 
+    @pytest.mark.parametrize("cloud", [
+        {"metric": "euclidean", "points": [0, 1e-7, 1e-5, 1.01e-5]},
+        {"metric": "l1", "points": [[0, 0], [1e-7, 0], [1e-5, 0], [1.01e-5, 0]]},
+    ])
+    def test_separation_below_tol(self, tmp_path, cloud):
+        # level_separation(21, 2) = 2^-40 < tol: every pair is separated at
+        # level 2, and the sorted 1-D pack walk must still move on
+        cloud_path, cert_path = tmp_path / "c.json", tmp_path / "cert.json"
+        cloud_path.write_text(json.dumps(cloud))
+        proc = _run_module("certify", str(cloud_path), "--k", "21", "--l", "2", "--depth", "2",
+                           "--out", str(cert_path), timeout=60)
+        assert proc.returncode == 0 and json.loads(proc.stdout)["found"] is True
+        assert _run_module("verify", str(cloud_path), str(cert_path)).returncode == 0
+
 
 class TestVerify:
     @pytest.fixture
@@ -273,6 +287,26 @@ class TestInfoAndConfig:
         assert code == 2
         assert err == f"validation error: {message}\n"
 
+    @pytest.mark.parametrize("tol, asymmetry, code", [
+        (None, 1e-10, 2), ("1e-9", 1e-10, 0),      # a looser tol accepts
+        (None, 1e-13, 0), ("1e-14", 1e-13, 2),     # a tighter one refuses
+    ])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_tol_reaches_matrix_validation(self, capsys, tmp_path, tol, asymmetry, code,
+                                           source):
+        cloud_path = tmp_path / "m.json"
+        cloud_path.write_text(json.dumps({"metric": "matrix",
+                                          "matrix": [[0, 1], [1 + asymmetry, 0]]}))
+        argv = []
+        if tol is not None and source == "flag":
+            argv = ["--tol", tol]
+        elif tol is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps({"tol": float(tol)}))
+            argv = ["--config", str(tmp_path / "cfg.json")]
+        got, _, err = run_cli(capsys, *argv, "info", str(cloud_path))
+        assert got == code
+        assert err == ("" if code == 0 else "validation error: distance matrix must be symmetric\n")
+
 
 class TestMetricFlag:
     """``--metric`` sets a CSV cloud's metric and must match a JSON cloud's own."""
@@ -315,9 +349,9 @@ class TestMetricFlag:
         assert "the cloud file's metric is 'euclidean', not the given 'l1'" in err
 
 
-def _run_module(*argv):
+def _run_module(*argv, timeout=None):
     return subprocess.run([sys.executable, "-m", "fracdim", *argv],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, timeout=timeout)
 
 
 class TestMalformedFiles:
@@ -418,14 +452,21 @@ class TestMalformedFiles:
         self._assert_validation_error(proc)
         assert "CSV rows must all have the first row's 2 values; line 2 has 1" in proc.stderr
 
-    @pytest.mark.parametrize("cell", ["x", "nan", "inf", "-inf", ""])
+    @pytest.mark.parametrize("cell", ["x", "nan", "inf", "-inf", "", "1_000", "infinity",
+                                      "0x10", "1e999", "1e5.5", "--1", "\u0661"])
     def test_csv_cell_not_a_finite_number(self, tmp_path, cell):
         cloud_path = tmp_path / "c.csv"
-        cloud_path.write_text(f"0,1\n2,{cell}\n")
+        cloud_path.write_text(f"0,1\n2,{cell}\n", encoding="utf-8")
         proc = _run_module("info", str(cloud_path))
         self._assert_validation_error(proc)
         assert proc.stderr == ("validation error: CSV cells must be finite numbers; "
                                f"line 2 has '2,{cell}'\n")
+
+    def test_csv_plain_decimals(self, tmp_path):
+        cloud_path = tmp_path / "c.csv"
+        cloud_path.write_text("0,1\n -1.5e3 ,+.5\n7.,1E-2\n")
+        proc = _run_module("info", str(cloud_path))
+        assert proc.returncode == 0 and json.loads(proc.stdout)["points"] == 3
 
     @pytest.mark.parametrize("cloud, points", [
         ({"metric": "euclidean", "points": [0.5, 1, 2]}, 3),

@@ -6,9 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fracdim.cloud as cloud_module
-from fracdim import (PointCloud, Subset, cantor_cloud, covering_number,
-                     maximal_separated_family, packing_number, validate_cover,
-                     validate_packing)
+from fracdim import (PointCloud, RegularFamily, ScaleWindow, Subset, cantor_cloud,
+                     certificate_scaling_check, closed_ball, covering_number,
+                     lower_dim_estimate, maximal_separated_family, packing_number,
+                     search_regular, validate_cover, validate_packing)
 from fracdim.covering import (CoverResult, PackResult, _bb_max_separated,
                               _bb_min_clique_cover, _greedy_cover_parts, _greedy_pack_indices,
                               _separated_lower_bound, _sweep_cover_counts, _sweep_cover_parts)
@@ -100,6 +101,12 @@ class TestPackingExamples:
     def test_two_far_points(self, two_points):
         res = packing_number(two_points.all_indices(), 2.0)
         assert res.count == 1
+
+    @pytest.mark.parametrize("mode", ["greedy", "exact"])
+    def test_sep_within_tol_takes_every_point(self, mode):
+        # sep - tol < 0: every pair is far enough, and the sweep still advances
+        res = packing_number(PointCloud([0, .5, 1]).all_indices(), 1e-13, mode=mode)
+        assert res.count == 3 and validate_packing(res, 1e-13)
 
     def test_sep_nonpositive(self, grid11):
         with pytest.raises(ValueError):
@@ -465,3 +472,94 @@ class TestProperties:
         pa = packing_number(sub, 0.25, mode="greedy")
         pb = packing_number(sub, 0.25, mode="greedy")
         assert list(pa.witnesses.indices) == list(pb.witnesses.indices)
+
+
+FOUND_1D = [0.22, 1.153, 2.495, 3.274, 3.387, 4.095, 4.397, 6.622, 7.589, 7.604]
+
+
+def _floats_around(v):
+    return np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf)
+
+
+class TestOneComparisonRule:
+    """A sorted 1-D cloud decides by kernel distances, like the same distances
+    as a matrix and the same points in another order: balls, exact covers and
+    packings, estimate tables and scaling-check verdicts agree at radii within
+    an ulp of a gap minus (or plus) tol."""
+
+    def test_found_example(self):
+        cloud = PointCloud(FOUND_1D)
+        r = 0.9669999999990004
+        res = covering_number(cloud.all_indices(), r, mode="exact")
+        assert res.count == 5 and validate_cover(cloud.all_indices(), res, r)
+
+    @staticmethod
+    def _copies(x, perm):
+        """(cloud, map from its positions to sorted positions) for the three copies."""
+        n = x.size
+        return ((PointCloud(x), np.arange(n)),
+                (PointCloud.from_matrix(np.abs(x[:, None] - x[None, :])), np.arange(n)),
+                (PointCloud(x[perm]), perm))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_three_copies_agree(self, seed):
+        rng = np.random.default_rng(seed)
+        # 3-decimal coordinates in [0, 8): their gaps are not dyadic
+        x = (np.asarray(FOUND_1D) if seed == 0
+             else np.sort(rng.choice(8000, size=8, replace=False)) / 1000)
+        perm = rng.permutation(x.size)
+        copies = self._copies(x, perm)
+        gaps = np.unique(np.abs(x[:, None] - x[None, :])[np.triu_indices(x.size, 1)])
+        for g in gaps:
+            for r in _floats_around(g - TOL):
+                for c in range(x.size):
+                    balls = [set(to_sorted[closed_ball(cloud, int(np.flatnonzero(to_sorted == c)[0]),
+                                                       r).indices].tolist())
+                             for cloud, to_sorted in copies]
+                    assert balls[0] == balls[1] == balls[2]
+                covers = [covering_number(cloud.all_indices(), r, mode="exact")
+                          for cloud, _ in copies]
+                assert covers[0].count == covers[1].count == covers[2].count
+                assert all(validate_cover(cloud.all_indices(), cover, r)
+                           for (cloud, _), cover in zip(copies, covers))
+                tables = [sorted((int(to_sorted[c]), R, rr, n) for c, R, rr, n, _ in
+                                 lower_dim_estimate(cloud, ScaleWindow(r / 2, 2 * r, 2.0, 2.0)).table)
+                          for cloud, to_sorted in copies]
+                assert tables[0] == tables[1] == tables[2]
+            for sep in _floats_around(g + TOL):
+                packs = [packing_number(cloud.all_indices(), sep, mode="exact")
+                         for cloud, _ in copies]
+                assert packs[0].count == packs[1].count == packs[2].count
+                assert all(validate_packing(pack, sep) for pack in packs)
+        # tolerances that put R + tol or r + tol of a needed-l^m probe on a gap
+        back = np.argsort(perm)
+        for g in gaps:
+            for rho in (1.0, 2.0, 1 / 16, 1 / 32):
+                if not 0.15 <= g - rho <= 0.6:
+                    continue
+                for tol in _floats_around(g - rho):
+                    family = search_regular(copies[0][0], 2, 2, 3, tol=tol).family
+                    if family is not None:
+                        self._assert_same_verdicts(copies, back, family, tol)
+
+    @staticmethod
+    def _assert_same_verdicts(copies, back, family, tol):
+        permuted = RegularFamily(family.k, family.l, family.depth, family.strong,
+                                 {lab: int(back[i]) for lab, i in family.assign.items()})
+        verdicts = [certificate_scaling_check(cloud, fam, tol=tol)
+                    for (cloud, _), fam in zip(copies, (family, family, permuted))]
+        assert verdicts[0] == verdicts[1] == verdicts[2]
+        return verdicts[0]
+
+    def test_scaling_check_ball_at_a_gap(self):
+        # the probe at r = 1/16 has r + tol an ulp below the distance from
+        # 4.846 to 5.226, so those two points need two parts and the chain holds
+        x = np.asarray([0.286, 0.909, 0.96, 1.028, 2.106, 3.375, 4.846, 5.127, 5.226, 5.545])
+        perm = np.asarray([8, 0, 9, 7, 1, 5, 6, 2, 3, 4])
+        labels = ["", "0", "1", "0.0", "0.1", "1.0", "1.1", "0.0.0", "0.0.1", "0.1.0",
+                  "0.1.1", "1.0.0", "1.0.1", "1.1.0", "1.1.1"]
+        points = [6, 6, 9, 6, 7, 7, 8, 6, 7, 6, 7, 6, 7, 7, 8]
+        family = RegularFamily.from_dict({"k": 2, "l": 2, "depth": 3, "strong": False,
+                                          "assign": dict(zip(labels, points))})
+        assert self._assert_same_verdicts(self._copies(x, perm), np.argsort(perm), family,
+                                          0.31749999999999984) is True
