@@ -6,10 +6,11 @@ distance matrix.
 
 Every distance the package computes comes from one kernel,
 :func:`_distance_blocks`, and every closed ball comes from one rule,
-:func:`_ball`, as a sorted index array.  On sorted 1-D clouds balls and the
-covering and packing sweeps find where a run of positions ends with
-:func:`_run_end`, which compares the kernel's distances, as the validators
-and the verifier do.
+:func:`_ball`, as a sorted index array (the greedy estimate makes the same
+comparison in its bitset relation rows).  On sorted 1-D clouds balls, and on
+every 1-D cloud the covering and packing sweeps (in coordinate order), find
+where a run of positions ends with :func:`_run_end`, which compares the
+kernel's distances, as the validators and the verifier do.
 A coordinate cloud with n^2 <= ``_DENSE_CAP`` (n <= 2,896, at most 64 MB)
 builds its full distance matrix the first time rows are asked for
 (:meth:`PointCloud.dense`, ``distances_from``, ``pairwise``) and keeps it;

@@ -3,10 +3,12 @@
 Exact covering is minimum clique cover on the graph whose edges join points
 at distance <= r (equivalently, coloring its complement); exact packing is
 maximum independent set at separation >= sep.  Both run branch-and-bound on
-generic metrics up to a size cutoff.  Sorted 1-D clouds take a sweep fast
-path that is provably optimal at any size: the leftmost uncovered point must
-start some part, and widening that part to everything within r never hurts.
-The sweeps compare distances as the validators do (``cloud._run_end``).
+generic metrics up to a size cutoff.  1-D coordinate clouds take a sweep
+fast path that is provably optimal at any size: the leftmost uncovered point
+must start some part, and widening that part to everything within r never
+hurts.  The sweeps run in coordinate order whatever the storage order,
+return sorted index arrays, and compare distances as the validators do
+(``cloud._run_end``).
 
 Callers that need only 1-D counts, not witnesses, use a doubling table
 instead: the sweep's jump ``i -> next_r[i]`` is composed with itself
@@ -21,7 +23,9 @@ first part under ``d > r + tol`` is a separated family (a certified lower
 bound on the covering number); the first part under ``d >= sep - tol`` is
 the greedy packing.  Subsets of up to 2,896 points hold the relation as one
 bitset per row; larger ones compute each new member's distances to the
-remaining candidates only.  The exact solvers build one bitset relation per
+remaining candidates only.  The scan may start from a given mask, so the
+rows of one whole-cloud relation scan any subset (a ball, say) with no
+rows rebuilt.  The exact solvers build one bitset relation per
 solve and nothing else: the cover search tests a part against a row with
 one AND, and its greedy upper bound and separated lower bound are scans of
 those rows and of their complement.  Private helpers take index arrays, and
@@ -31,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -54,14 +58,21 @@ class PackResult:
     exact: bool
 
 
+def _by_coordinate(cloud: PointCloud, idx: np.ndarray) -> np.ndarray:
+    """``idx`` of a 1-D coordinate cloud in increasing coordinate order."""
+    return idx[np.argsort(cloud.coords[idx, 0], kind="stable")]
+
+
 def _sweep_cover_parts(cloud: PointCloud, idx: np.ndarray, r: float,
                        tol: float) -> List[np.ndarray]:
-    """Greedy sweep on sorted ``idx`` of a sorted-1-D cloud; optimal (see module docstring)."""
+    """Greedy sweep over the points ``idx`` of a 1-D coordinate cloud in coordinate
+    order; optimal (see module docstring).  Parts are sorted index arrays."""
+    idx = _by_coordinate(cloud, idx)
     coords = cloud.coords[idx, 0]
     ends = [0]
     while ends[-1] < idx.size:
         ends.append(_cloud._run_end(coords, ends[-1], r + tol))
-    return [idx[a:b] for a, b in zip(ends, ends[1:])]
+    return [np.sort(idx[a:b]) for a, b in zip(ends, ends[1:])]
 
 
 def _sweep_cover_counts(x: np.ndarray, r: float, lo: np.ndarray, hi: np.ndarray,
@@ -128,10 +139,14 @@ def _relation_rows(cloud: PointCloud, idx: np.ndarray, related) -> List[int]:
     return rows
 
 
-def _scan(rows: List[int]) -> Tuple[List[int], List[int]]:
+def _scan(rows: List[int], uncovered: Optional[int] = None) -> Tuple[List[int], List[int]]:
     """The greedy scan (see the module docstring) over bitset ``rows``, as
-    (members, ends): part i holds the positions ``members[ends[i]:ends[i + 1]]``."""
-    uncovered = (1 << len(rows)) - 1
+    (members, ends): part i holds the positions ``members[ends[i]:ends[i + 1]]``.
+
+    The scan covers the positions set in ``uncovered`` (default all), so
+    rows of a whole cloud scan any subset given as a mask, in index order."""
+    if uncovered is None:
+        uncovered = (1 << len(rows)) - 1
     members = []
     ends = [0]
     while uncovered:
@@ -268,7 +283,7 @@ def covering_number(subset: Subset, r: float, mode: str = "auto",
                     exact_cutoff: int = DEFAULT_EXACT_CUTOFF) -> CoverResult:
     """Minimal (exact) or bounding (greedy) count of diameter-<=r parts covering ``subset``.
 
-    ``auto`` solves exactly whenever it can (sorted-1-D sweep at any size,
+    ``auto`` solves exactly whenever it can (1-D sweep at any size,
     branch-and-bound within the cutoff) and falls back to greedy above it.
     Greedy counts are upper bounds on the true covering number.
     """
@@ -280,7 +295,7 @@ def covering_number(subset: Subset, r: float, mode: str = "auto",
     exact = True
     if idx.size == 0:
         parts = []
-    elif cloud.sorted_1d:
+    elif cloud.dim == 1:
         parts = _sweep_cover_parts(cloud, idx, r, tol)
     elif mode == "exact" or (mode == "auto" and idx.size <= exact_cutoff):
         if idx.size > exact_cutoff:
@@ -308,8 +323,9 @@ def packing_number(subset: Subset, sep: float, mode: str = "greedy",
     exact = True
     if idx.size == 0:
         wit = idx
-    elif cloud.sorted_1d:
-        wit = idx[_sweep_pack(cloud.coords[idx, 0], sep, tol)]
+    elif cloud.dim == 1:
+        idx = _by_coordinate(cloud, idx)
+        wit = np.sort(idx[_sweep_pack(cloud.coords[idx, 0], sep, tol)])
     elif mode == "exact":
         if idx.size > exact_cutoff:
             raise ValueError(

@@ -10,9 +10,11 @@ must be read as a scale-window quantity.
 On 1-D coordinate clouds (both metrics are |x - y| there) the points are
 sorted once, whatever their storage order, and every center's count at one
 scale pair comes from the covering sweep's doubling table in O(n log n),
-with no witness parts built.  Other clouds solve one covering per row on
-balls cut from the cloud's distance rows; greedy rows only count the greedy
-cover's parts and build no witness objects.
+with no witness parts built.  On other clouds, greedy rows read one
+whole-cloud bitset relation per grid scale s, ``d <= s + tol``: row x of
+the relation at R is the ball B(x, R) as a mask, and the row's count is the
+number of parts of the one greedy scan on the relation at r, started from
+that mask.  Exact rows solve one covering per row on the ball.
 """
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ import numpy as np
 
 from .cloud import PointCloud, Subset, _ball
 from .config import DEFAULT_BUDGET, DEFAULT_EXACT_CUTOFF, DEFAULT_TOL
-from .covering import _ball_cover_counts_1d, _greedy_cover_parts, covering_number
+from .covering import _ball_cover_counts_1d, _relation_rows, _scan, covering_number
 from .regular import RegularFamily, SearchResult, search_regular
 
 SEMANTICS_NOTE = "scale-window estimate on a finite sample, not a limit quantity"
@@ -148,10 +150,21 @@ def _counts_1d(cloud: PointCloud, pairs: List[Tuple[float, float]],
 
 def _counts_generic(cloud: PointCloud, pairs: List[Tuple[float, float]], mode: str,
                     tol: float, exact_cutoff: int) -> List[List[int]]:
-    """N_r(B(x, R)) per center and pair, one covering solve per row.
+    """N_r(B(x, R)) per center and pair, on a cloud that is not 1-D.
 
-    Balls come from the one ball rule, :func:`fracdim.cloud._ball`.
+    Greedy rows scan one relation per distinct scale s (see the module
+    docstring).  Its row x compares the cloud's distances from x with
+    ``s + tol``, the comparison of the one ball rule,
+    :func:`fracdim.cloud._ball`.  Bit order is index order, and ball indices
+    are sorted, so each count is that of the greedy cover of the ball.
+    Exact rows solve one covering per row on the ball from ``_ball``.
     """
+    if mode == "greedy":
+        everything = np.arange(cloud.n, dtype=np.int64)
+        relation = {s: _relation_rows(cloud, everything, lambda d, s=s: d <= s + tol)
+                    for s in {s for pair in pairs for s in pair}}
+        return [[len(_scan(relation[r], relation[R][center])[1]) - 1 for R, r in pairs]
+                for center in range(cloud.n)]
     counts = []
     for center in range(cloud.n):
         balls: dict = {}
@@ -159,11 +172,8 @@ def _counts_generic(cloud: PointCloud, pairs: List[Tuple[float, float]], mode: s
         for R, r in pairs:
             if R not in balls:
                 balls[R] = _ball(cloud, center, R, tol)
-            if mode == "greedy":
-                row.append(len(_greedy_cover_parts(cloud, balls[R], r, tol)))
-            else:
-                row.append(covering_number(Subset(cloud, balls[R]), r, mode=mode, tol=tol,
-                                           exact_cutoff=exact_cutoff).count)
+            row.append(covering_number(Subset(cloud, balls[R]), r, mode=mode, tol=tol,
+                                       exact_cutoff=exact_cutoff).count)
         counts.append(row)
     return counts
 

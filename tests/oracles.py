@@ -168,6 +168,20 @@ def greedy_cover_oracle(dmat: np.ndarray, r: float, tol: float = 1e-12) -> list:
     return parts
 
 
+def greedy_estimate_counts_oracle(dmat: np.ndarray, pairs, tol: float = 1e-12) -> list:
+    """Greedy N_r(B(c, R)) per center c and pair (R, r), one row at a time: the
+    ball is every position within ``R + tol`` of c, and the count is the
+    number of parts of :func:`greedy_cover_oracle` on the ball's distances."""
+    counts = []
+    for c in range(dmat.shape[0]):
+        row = []
+        for R, r in pairs:
+            ball = np.flatnonzero(dmat[c] <= R + tol)
+            row.append(len(greedy_cover_oracle(dmat[np.ix_(ball, ball)], r, tol)))
+        counts.append(row)
+    return counts
+
+
 def greedy_pack_oracle(dmat: np.ndarray, sep: float, tol: float = 1e-12,
                        seed=None) -> list:
     """Maximal sep-separated family by a row-by-row scan, as sorted positions.

@@ -563,3 +563,49 @@ class TestOneComparisonRule:
                                           "assign": dict(zip(labels, points))})
         assert self._assert_same_verdicts(self._copies(x, perm), np.argsort(perm), family,
                                           0.31749999999999984) is True
+
+
+class TestUnsorted1D:
+    """The 1-D sweeps on clouds stored out of coordinate order: exact at any
+    size and in every mode, with parts and witnesses as sorted indices."""
+
+    X = np.random.default_rng(0).permutation(30) / 8     # i/8 in a seeded order
+
+    @pytest.mark.parametrize("mode", ["exact", "greedy", "auto"])
+    def test_cover(self, mode):
+        sub = PointCloud(self.X).all_indices()
+        res = covering_number(sub, 0.5, mode=mode)
+        assert res.count == 6 == certified_cover_count_1d(np.sort(self.X), 0.5)
+        assert res.exact and validate_cover(sub, res, 0.5)
+        # the sorted cloud's parts, mapped to storage indices
+        ref = covering_number(PointCloud(np.sort(self.X)).all_indices(), 0.5, mode=mode)
+        order = np.argsort(self.X)
+        assert [p.indices.tolist() for p in res.parts] == [
+            sorted(order[q.indices].tolist()) for q in ref.parts]
+
+    @pytest.mark.parametrize("mode", ["exact", "greedy"])
+    def test_pack(self, mode):
+        res = packing_number(PointCloud(self.X).all_indices(), 0.5, mode=mode)
+        assert res.count == 8 and res.exact and validate_packing(res, 0.5)
+        ref = packing_number(PointCloud(np.sort(self.X)).all_indices(), 0.5, mode=mode)
+        order = np.argsort(self.X)
+        assert res.witnesses.indices.tolist() == sorted(order[ref.witnesses.indices].tolist())
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, 127), min_size=1, max_size=16, unique=True),
+           st.integers(1, 16), st.data())
+    def test_matches_matrix_solvers(self, slots, steps, data):
+        # dyadic points in storage order as drawn; at most 16 keeps the
+        # matrix copy within the branch-and-bound cutoff
+        x = np.asarray(slots, dtype=float) / 32
+        keep = sorted(data.draw(st.lists(st.sampled_from(range(x.size)), min_size=1,
+                                          unique=True)))
+        line = Subset(PointCloud(x), keep)
+        matrix = Subset(PointCloud.from_matrix(np.abs(x[:, None] - x[None, :])), keep)
+        r = steps / 32
+        cover = covering_number(line, r, mode="exact")
+        assert cover.count == covering_number(matrix, r, mode="exact").count
+        assert validate_cover(line, cover, r)
+        pack = packing_number(line, r, mode="exact")
+        assert pack.count == packing_number(matrix, r, mode="exact").count
+        assert validate_packing(pack, r)

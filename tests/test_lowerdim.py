@@ -1,14 +1,16 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fracdim.cloud as cloud_module
 from fracdim import (PointCloud, ScaleWindow, cantor_cloud, dimension_bound,
                      dyadic_interval_cloud, interval_plus_point_cloud,
                      lower_dim_estimate, mod_lower_dim_bound, verify_regular)
-from oracles import certified_cover_count_1d
+from oracles import certified_cover_count_1d, distance_row_oracle, greedy_estimate_counts_oracle
 
 
 def uniform_grid_min_exponent(resolution, window):
@@ -123,6 +125,60 @@ class TestEstimator:
         rep = lower_dim_estimate(cloud, ScaleWindow(2.0 ** -3, 2.0 ** -1))
         same = [row for row in rep.table if row[4] == rep.alpha_hat]
         assert rep.argmin[0] == min(row[0] for row in same)
+
+
+def _dyadic_grid_cloud(cells, metric):
+    """A cloud on the 16 x 16 grid of spacing 1/8 and its distance matrix;
+    ``matrix`` is the grid's l1 distances given as an explicit matrix."""
+    coords = np.array([[c // 16, c % 16] for c in cells], dtype=float) / 8.0
+    kernel = "l1" if metric == "matrix" else metric
+    dmat = np.stack([distance_row_oracle(coords, i, kernel) for i in range(len(cells))])
+    if metric == "matrix":
+        return PointCloud.from_matrix(dmat), dmat
+    return PointCloud(coords, metric=metric), dmat
+
+
+class TestGreedyRelationRows:
+    """Greedy rows read from one whole-cloud relation per scale against a
+    row-by-row oracle that cuts each ball and scans its distances."""
+
+    WINDOW = ScaleWindow(1 / 8, 2)
+
+    # Scales 1/8 .. 2 and a tol of 1/8 are multiples of the grid spacing, so
+    # grid distances fall exactly at R + tol and r + tol; at tol = 1e-12
+    # they fall at R and r.
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.integers(0, 255), min_size=1, max_size=24, unique=True),
+           st.sampled_from(["euclidean", "l1", "matrix"]), st.sampled_from([1e-12, 1 / 8]))
+    @example([0, 3, 4, 64, 67, 8, 136], "euclidean", 1 / 8)   # 3-4-5 triangles, axis ties
+    def test_matches_row_oracle(self, cells, metric, tol):
+        cloud, dmat = _dyadic_grid_cloud(cells, metric)
+        pairs = self.WINDOW.pairs(diam_cap=cloud.diam(), tol=tol)
+        expected = [(c, R, r, n) for c, row in
+                    enumerate(greedy_estimate_counts_oracle(dmat, pairs, tol))
+                    for (R, r), n in zip(pairs, row)]
+        rep = lower_dim_estimate(cloud, self.WINDOW, mode="greedy", tol=tol)
+        assert [(c, R, r, n) for c, R, r, n, _ in rep.table] == expected
+        with mock.patch.object(cloud_module, "_BLOCK_ELEMENTS", 8):   # one row per block
+            rep = lower_dim_estimate(cloud, self.WINDOW, mode="greedy", tol=tol)
+        assert [(c, R, r, n) for c, R, r, n, _ in rep.table] == expected
+
+    def test_above_dense_cap(self, monkeypatch):
+        # 3,600 distances exceed a cap of 2^10: the capped cloud never holds
+        # the matrix and recomputes every relation's blocks
+        rng = np.random.default_rng(18)
+        cells = rng.choice(64 * 64, size=60, replace=False)
+        pts = np.stack([cells // 64, cells % 64], axis=1) / 64.0
+        w = ScaleWindow(1 / 32, 1 / 2)
+        uncapped = PointCloud(pts)
+        uncapped.dense()    # its relations slice the held matrix
+        expected = lower_dim_estimate(uncapped, w, mode="greedy")
+        monkeypatch.setattr(cloud_module, "_DENSE_CAP", 2 ** 10)
+        capped = PointCloud(pts)
+        got = lower_dim_estimate(capped, w, mode="greedy")
+        assert capped.dense() is None
+        assert len(got.table) == 60 * len(w.pairs()) and got.table == expected.table
+        assert (got.alpha_hat, got.argmin) == (expected.alpha_hat, expected.argmin)
 
 
 class TestOneDimensionalPath:
