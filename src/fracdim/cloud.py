@@ -6,10 +6,10 @@ distance matrix.
 
 Every distance the package computes comes from one kernel,
 :func:`_distance_blocks`, and every closed ball comes from one rule,
-:func:`_ball`, as a sorted index array (the greedy estimate makes the same
-comparison in its bitset relation rows).  On sorted 1-D clouds balls, and on
-every 1-D cloud the covering and packing sweeps (in coordinate order), find
-where a run of positions ends with :func:`_run_end`, which compares the
+:func:`_ball` (the greedy estimate makes the same comparison in its bitset
+relation rows).  Every 1-D path reads the coordinate order (``_order``, and
+``_line``, the coordinates in it), computed once whatever the storage order,
+and finds where a run ends with :func:`_run_end`, which compares the
 kernel's distances, as the validators and the verifier do.
 A coordinate cloud with n^2 <= ``_DENSE_CAP`` (n <= 2,896, at most 64 MB)
 builds its full distance matrix the first time rows are asked for
@@ -89,11 +89,12 @@ class PointCloud:
             self.coords.setflags(write=False)
             self.matrix = None
             self.n = self.coords.shape[0]
-        self._sorted_1d = (
-            self.coords is not None
-            and self.coords.shape[1] == 1
-            and bool(np.all(np.diff(self.coords[:, 0]) > 0))
-        )
+        self._order = self._line = None
+        if self.dim == 1:
+            self._order = np.argsort(self.coords[:, 0], kind="stable").astype(np.int64)
+            self._line = self.coords[self._order, 0]
+            self._order.setflags(write=False)
+            self._line.setflags(write=False)
 
     @classmethod
     def from_matrix(cls, matrix, meta: Optional[dict] = None) -> "PointCloud":
@@ -107,9 +108,9 @@ class PointCloud:
     def sorted_1d(self) -> bool:
         """True when points are one coordinate, strictly increasing by index.
 
-        On such clouds 1-D sweep algorithms are exact, enabling fast paths.
+        It selects no path: 1-D paths run in coordinate order however points are stored.
         """
-        return self._sorted_1d
+        return self.dim == 1 and bool(np.all(np.diff(self.coords[:, 0]) > 0))
 
     def dense(self) -> Optional[np.ndarray]:
         """The read-only n x n distance matrix, or None above ``_DENSE_CAP``.
@@ -183,8 +184,8 @@ class PointCloud:
         """Smallest nonzero pairwise distance (the cloud's point resolution)."""
         if self.n <= 1:
             return 0.0
-        if self.sorted_1d:
-            return float(np.diff(self.coords[:, 0]).min())
+        if self.dim == 1:
+            return float(np.diff(self._line).min())
         return min(float(block.min(initial=np.inf, where=_upper(start, block)))
                    for start, block in self._blocks())
 
@@ -314,8 +315,8 @@ def diameter(cloud: PointCloud, subset: Optional[Subset] = None) -> float:
     idx = subset.indices
     if idx.size <= 1:
         return 0.0
-    if cloud.sorted_1d:
-        return float(cloud.coords[idx[-1], 0] - cloud.coords[idx[0], 0])
+    if cloud.dim == 1:
+        return float(np.ptp(cloud.coords[idx, 0]))
     return max(float(block.max()) for _, block in cloud._blocks(idx))
 
 
@@ -325,13 +326,16 @@ def closed_ball(cloud: PointCloud, center: int, radius: float,
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     cloud._check_index(center)
-    return Subset(cloud, _ball(cloud, center, radius, tol))
+    return Subset(cloud, np.sort(_ball(cloud, center, radius, tol)))
 
 
 def _ball(cloud: PointCloud, center: int, radius: float, tol: float) -> np.ndarray:
-    """Sorted indices within ``radius + tol`` of ``center``: the one ball rule, unchecked."""
-    if cloud.sorted_1d:
-        return np.arange(*_ball_bounds(cloud.coords[:, 0], center, radius + tol), dtype=np.int64)
+    """Indices within ``radius + tol`` of ``center``: the one ball rule, unchecked.
+    On 1-D clouds a read-only slice of ``_order`` (coordinate order), else index order."""
+    if cloud.dim == 1:
+        line = cloud._line
+        lo, hi = _ball_bounds(line, line.searchsorted(cloud.coords[center, 0]), radius + tol)
+        return cloud._order[lo:hi]
     return np.flatnonzero(cloud.distances_from(center) <= radius + tol).astype(np.int64)
 
 
@@ -364,9 +368,9 @@ def _run_end(x: np.ndarray, start, bound: float):
 
 def _directed_hausdorff(a: PointCloud, b: PointCloud) -> float:
     """sup over points of ``a`` of the distance to the nearest point of ``b``."""
-    if a.sorted_1d and b.sorted_1d:
+    if a.dim == 1:
         xs = a.coords[:, 0]
-        ys = b.coords[:, 0]
+        ys = b._line
         pos = np.searchsorted(ys, xs)
         left = np.abs(xs - ys[np.maximum(pos - 1, 0)])
         right = np.abs(xs - ys[np.minimum(pos, ys.size - 1)])

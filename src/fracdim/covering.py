@@ -60,7 +60,7 @@ class PackResult:
 
 def _by_coordinate(cloud: PointCloud, idx: np.ndarray) -> np.ndarray:
     """``idx`` of a 1-D coordinate cloud in increasing coordinate order."""
-    return idx[np.argsort(cloud.coords[idx, 0], kind="stable")]
+    return cloud._order[np.isin(cloud._order, idx)]
 
 
 def _sweep_cover_parts(cloud: PointCloud, idx: np.ndarray, r: float,

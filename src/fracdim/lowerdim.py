@@ -140,11 +140,9 @@ def _counts_1d(cloud: PointCloud, pairs: List[Tuple[float, float]],
 
     The 1-D sweep is optimal at any size, so both modes get exact counts.
     """
-    order = np.argsort(cloud.coords[:, 0], kind="stable")
-    x = cloud.coords[order, 0]
     counts = np.empty((cloud.n, len(pairs)), dtype=np.int64)
     for p, (R, r) in enumerate(pairs):
-        counts[order, p] = _ball_cover_counts_1d(x, R, r, tol)
+        counts[cloud._order, p] = _ball_cover_counts_1d(cloud._line, R, r, tol)
     return counts.tolist()
 
 

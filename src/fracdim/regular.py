@@ -211,11 +211,12 @@ class _Search:
             raise _BudgetExhausted
 
     def _pack_upper_bound(self, indices: np.ndarray, sep: float) -> int:
-        """Upper bound on the size of a sep-separated subset of ``indices``."""
+        """Upper bound on the size of a sep-separated subset of ``indices``
+        (in coordinate order on 1-D clouds, as ``_ball`` gives them)."""
         m = int(indices.size)
         if m <= 1:
             return m
-        if self.cloud.sorted_1d:
+        if self.cloud.dim == 1:
             return len(_sweep_pack(self.cloud.coords[indices, 0], sep, self.tol))
         # Any cover by parts of diameter < sep admits at most one separated
         # point per part, so a greedy cover count bounds the packing.
@@ -281,8 +282,9 @@ class _Search:
 
     def _find_children(self, cands: List[int], chosen0: List[int], sep: float,
                        level: int, rest: int, need: int) -> Optional[List[int]]:
-        """Lexicographically first feasible separated child set, ascending index."""
-        if self.cloud.sorted_1d:
+        """First feasible separated child set in ``cands`` order: leftmost-first
+        by coordinate on 1-D clouds, lexicographic index order otherwise."""
+        if self.cloud.dim == 1:
             # Greedy leftmost is maximizing in 1-D even with a pinned seed:
             # replacing an optimal pick by an earlier compatible one only
             # grows every later gap.
@@ -328,8 +330,9 @@ def search_regular(cloud: PointCloud, k: int, l: int, depth: int,
     """Search for a (k, l)-regular family of the given depth.
 
     Root candidates are tried in index order; child sets in lexicographic
-    index order, so the first success is deterministic.  The found family is
-    re-verified against the definition before being returned.
+    index order (leftmost-first by coordinate on 1-D clouds), so the first
+    success is deterministic.  The found family is re-verified against the
+    definition before being returned.
     """
     if k < 2 or l < 2:
         raise ValueError("need k >= 2 and l >= 2")
@@ -395,12 +398,12 @@ def certificate_scaling_check(cloud: PointCloud, family: RegularFamily,
     least l^m parts of diameter r to cover its deepest-level points.  Each
     bracket is probed at its two representable extremes; counts are
     lower-bounded by certified quantities only, never by greedy covers.
-    On sorted 1-D clouds a ball meets the sorted deepest level in a
-    contiguous run, so every probe's exact count comes from the covering
-    sweep's doubling table.  Other clouds read each deepest-level point's
-    distance row to the deepest level once, streamed a block at a time, and
-    take every probe's ball from it; its entries equal ``distances_from``'s
-    bit for bit.
+    On 1-D clouds a ball meets the deepest level, sorted once by coordinate,
+    in a contiguous run, so every probe's exact count comes from the
+    covering sweep's doubling table.  Other clouds read each deepest-level
+    point's distance row to the deepest level once, streamed a block at a
+    time, and take every probe's ball from it; its entries equal
+    ``distances_from``'s bit for bit.
     """
     report = verify_regular(cloud, family, tol)
     if not report.ok:
@@ -411,8 +414,8 @@ def certificate_scaling_check(cloud: PointCloud, family: RegularFamily,
               for R, r in ((2.0 ** (-k * n + 2), 2.0 ** (-k * (n + m))),     # hard corner
                            (2.0 ** (-k * (n - 1) + 1),                       # outer corner
                             2.0 ** (-k * (n + m + 1) + 1)))]
-    if cloud.sorted_1d:
-        x = cloud.coords[deepest, 0]
+    if cloud.dim == 1:
+        x = np.sort(cloud.coords[deepest, 0])
         return all(int(_ball_cover_counts_1d(x, R, r, tol).min()) >= needed
                    for R, r, needed in probes)
     return all(_cover_count_lower_bound(cloud, deepest[row <= R + tol], r, tol,

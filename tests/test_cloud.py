@@ -100,15 +100,19 @@ class TestBallRule:
     @pytest.mark.parametrize("kind", sorted(_ball_clouds()))
     @pytest.mark.parametrize("tol", [TOL, 0.0])
     def test_ball_is_closed_ball(self, kind, tol):
-        # radii exactly at every pairwise distance, where <= and < differ
+        # radii exactly at every pairwise distance, where <= and < differ;
+        # a 1-D ball comes in coordinate order, any other in index order
         cloud = _ball_clouds()[kind]
         for center in range(cloud.n):
             row = cloud.distances_from(center)
             for radius in np.unique(row):
                 ball = cloud_module._ball(cloud, center, radius, tol)
                 assert ball.dtype == np.int64
-                assert np.array_equal(ball, closed_ball(cloud, center, radius, tol).indices)
-                assert np.array_equal(ball, np.flatnonzero(row <= radius + tol))
+                assert np.array_equal(np.sort(ball),
+                                      closed_ball(cloud, center, radius, tol).indices)
+                assert np.array_equal(np.sort(ball), np.flatnonzero(row <= radius + tol))
+                key = ball if cloud.dim != 1 else cloud.coords[ball, 0]
+                assert np.all(np.diff(key) > 0)
 
 
 class TestHausdorff:

@@ -1,3 +1,4 @@
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -7,9 +8,10 @@ from hypothesis import strategies as st
 
 import fracdim.cloud as cloud_module
 from fracdim import (PointCloud, RegularFamily, ScaleWindow, Subset, cantor_cloud,
-                     certificate_scaling_check, closed_ball, covering_number,
-                     lower_dim_estimate, maximal_separated_family, packing_number,
-                     search_regular, validate_cover, validate_packing)
+                     certificate_scaling_check, closed_ball, covering_number, diameter,
+                     hausdorff_distance, lower_dim_estimate, maximal_separated_family,
+                     packing_number, search_regular, validate_cover, validate_packing,
+                     verify_regular)
 from fracdim.covering import (CoverResult, PackResult, _bb_max_separated,
                               _bb_min_clique_cover, _greedy_cover_parts, _greedy_pack_indices,
                               _separated_lower_bound, _sweep_cover_counts, _sweep_cover_parts)
@@ -484,14 +486,24 @@ def _floats_around(v):
 class TestOneComparisonRule:
     """A sorted 1-D cloud decides by kernel distances, like the same distances
     as a matrix and the same points in another order: balls, exact covers and
-    packings, estimate tables and scaling-check verdicts agree at radii within
-    an ulp of a gap minus (or plus) tol."""
+    packings, estimate tables, searches and scaling-check verdicts agree at
+    radii within an ulp of a gap minus (or plus) tol, and diameters, the
+    smallest gap and Hausdorff distances agree bit for bit."""
 
     def test_found_example(self):
         cloud = PointCloud(FOUND_1D)
         r = 0.9669999999990004
         res = covering_number(cloud.all_indices(), r, mode="exact")
         assert res.count == 5 and validate_cover(cloud.all_indices(), res, r)
+
+    @staticmethod
+    def _points(seed):
+        """(sorted points, permutation) of one seeded case."""
+        rng = np.random.default_rng(seed)
+        # 3-decimal coordinates in [0, 8): their gaps are not dyadic
+        x = (np.asarray(FOUND_1D) if seed == 0
+             else np.sort(rng.choice(8000, size=8, replace=False)) / 1000)
+        return x, rng.permutation(x.size)
 
     @staticmethod
     def _copies(x, perm):
@@ -503,11 +515,7 @@ class TestOneComparisonRule:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_three_copies_agree(self, seed):
-        rng = np.random.default_rng(seed)
-        # 3-decimal coordinates in [0, 8): their gaps are not dyadic
-        x = (np.asarray(FOUND_1D) if seed == 0
-             else np.sort(rng.choice(8000, size=8, replace=False)) / 1000)
-        perm = rng.permutation(x.size)
+        x, perm = self._points(seed)
         copies = self._copies(x, perm)
         gaps = np.unique(np.abs(x[:, None] - x[None, :])[np.triu_indices(x.size, 1)])
         for g in gaps:
@@ -538,9 +546,42 @@ class TestOneComparisonRule:
                 if not 0.15 <= g - rho <= 0.6:
                     continue
                 for tol in _floats_around(g - rho):
-                    family = search_regular(copies[0][0], 2, 2, 3, tol=tol).family
+                    family = self._assert_same_search(copies, 2, 2, 3, False, tol)
                     if family is not None:
                         self._assert_same_verdicts(copies, back, family, tol)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_permuted_copy_agrees(self, seed):
+        x, perm = self._points(seed)
+        for scale in (1.0, 0.5, 0.25):
+            scaled = self._copies(x * scale, perm)
+            for k, l, depth, strong in itertools.product((2, 3), (2, 3), (1, 2), (False, True)):
+                self._assert_same_search(scaled, k, l, depth, strong, TOL)
+        copies = self._copies(x, perm)
+        rng = np.random.default_rng(100 + seed)
+        for size in range(1, x.size + 1):
+            chosen = rng.choice(x.size, size=size, replace=False)     # sorted positions
+            diameters = [diameter(cloud, Subset(cloud, np.flatnonzero(np.isin(to_sorted, chosen))))
+                         for cloud, to_sorted in copies]
+            assert diameters[0] == diameters[1] == diameters[2]
+        gaps = [cloud.min_positive_gap() for cloud, _ in copies]
+        assert gaps[0] == gaps[1] == gaps[2]
+        (line, _), _, (permuted, _) = copies
+        other = PointCloud(rng.choice(8000, size=5, replace=False) / 1000)
+        assert hausdorff_distance(line, permuted) == hausdorff_distance(permuted, line) == 0.0
+        assert hausdorff_distance(line, other) == hausdorff_distance(permuted, other) \
+            == hausdorff_distance(other, permuted)
+
+    @staticmethod
+    def _assert_same_search(copies, k, l, depth, strong, tol):
+        """Search every copy: the same outcome, and every family found verifies;
+        returns the sorted copy's family."""
+        results = [search_regular(cloud, k, l, depth, strong=strong, tol=tol)
+                   for cloud, _ in copies]
+        assert len({(res.family is None, res.exhausted) for res in results}) == 1
+        assert all(verify_regular(cloud, res.family, tol).ok
+                   for (cloud, _), res in zip(copies, results) if res.family is not None)
+        return results[0].family
 
     @staticmethod
     def _assert_same_verdicts(copies, back, family, tol):

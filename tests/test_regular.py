@@ -304,6 +304,42 @@ class TestScalingCheck:
             certificate_scaling_check(grid11, fam)
 
 
+def _permuted_polarized():
+    """The polarized depth-8 cloud and natural family, sorted and in a seeded
+    storage order, as ((cloud, family), (cloud, family))."""
+    cloud, fam = polarized_natural_family(8)
+    perm = np.random.default_rng(0).permutation(cloud.n)
+    back = np.argsort(perm)
+    permuted = RegularFamily(2, 2, 8, False, {lab: int(back[i]) for lab, i in fam.assign.items()})
+    return (cloud, fam), (PointCloud(cloud.coords[perm, 0]), permuted)
+
+
+class TestUnsorted1DSearch:
+    """A 1-D cloud stored out of coordinate order takes the same 1-D search
+    and scaling-check paths as its sorted copy."""
+
+    def test_found_within_budget(self):
+        _, (cloud, _) = _permuted_polarized()
+        res = search_regular(cloud, 2, 2, 8, budget=1000)
+        assert res.family is not None and not res.exhausted
+        assert verify_regular(cloud, res.family).ok
+
+    def test_max_depth_matches_sorted(self):
+        (cloud, _), (permuted, _) = _permuted_polarized()
+        assert max_regular_depth(permuted, 2, 2, 9, budget=1000) == \
+            max_regular_depth(cloud, 2, 2, 9, budget=1000) == (8, False)
+
+    def test_scaling_check_takes_the_sweep(self, monkeypatch):
+        (cloud, fam), (permuted, permuted_fam) = _permuted_polarized()
+        expected = certificate_scaling_check(cloud, fam)
+
+        def spy(*args):
+            raise AssertionError("generic cover count called on a 1-D cloud")
+
+        monkeypatch.setattr(regular_module, "_cover_count_lower_bound", spy)
+        assert certificate_scaling_check(permuted, permuted_fam) is expected is True
+
+
 class TestClosednessAnalogue:
     def test_translated_family_survives_limit(self):
         base = dyadic_interval_cloud(8)
