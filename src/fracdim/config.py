@@ -1,4 +1,4 @@
-"""Shared tolerances and reproducible run configuration."""
+"""Shared tolerances, reproducible run configuration, and JSON checks and value types."""
 from __future__ import annotations
 
 import json
@@ -29,6 +29,18 @@ _JSON_CHECKS = {
     "a list": lambda v: isinstance(v, list),
     "a list of two": lambda v: isinstance(v, list) and len(v) == 2,
 }
+
+
+@dataclass(frozen=True)
+class Records:
+    """Same-key records by column: ``columns[j][i]`` is record i's value under ``keys[j]``."""
+
+    keys: tuple
+    columns: tuple
+
+    def __post_init__(self) -> None:
+        if len(self.columns) != len(self.keys) or len(set(map(len, self.columns))) != 1:
+            raise ValueError("Records needs one column of one length per key")
 
 
 def _checked_object(data, what: str, fields: dict, required=()) -> dict:

@@ -7,9 +7,10 @@ significant digits, non-finite values rejected.  Identical runs therefore
 produce byte-identical artifacts.  The ``estimate --csv`` table uses the
 same float text.
 
-Each call formats a distinct float once (``_float_format``) and writes a
-list of dicts that share one key order, such as the estimate table, from
-a row template built once, formatting each row's scalars inline.  The
+Each call formats a distinct float once (``_float_format``).  A
+:class:`fracdim.config.Records` (the estimate table) is written as the
+list of dicts it stands for, column by column: an array column's distinct
+values are formatted once, and all rows are built in one join.  The
 encoder this replaced, which recursed through ``dumps_canonical`` once per
 value, is kept in ``tests/oracles.py``; the tests require byte-identical
 output and the same exception types on random nested documents.
@@ -21,13 +22,14 @@ import json
 import math
 import re
 import sys
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from typing import List, Optional
 
 import numpy as np
 
 from .cloud import PointCloud
-from .config import _JSON_CHECKS, DEFAULT_TOL, _checked_object
+from .config import _JSON_CHECKS, DEFAULT_TOL, Records, _checked_object
 from .lowerdim import EstimateReport
 from .regular import RegularFamily
 from .trees import FiniteTree
@@ -87,6 +89,8 @@ class _Encoder:
             return self.sequence(obj, level)
         if kind is dict:
             return self.mapping(obj, level)
+        if kind is Records:
+            return self.records(obj, level)
         if isinstance(obj, bool):
             return "true" if obj else "false"
         if isinstance(obj, (int, np.integer)):
@@ -102,11 +106,7 @@ class _Encoder:
         raise TypeError(f"cannot serialize {kind.__name__}")
 
     def sequence(self, obj, level: int) -> str:
-        keys = _record_keys(obj)
-        if keys:
-            items = self.records(obj, keys, level + 1)
-        else:
-            items = [self.encode(x, level + 1) for x in obj]
+        items = [self.encode(x, level + 1) for x in obj]
         if not items:
             return "[]"
         first, sep, last = self.layout(level)
@@ -119,38 +119,31 @@ class _Encoder:
         first, sep, last = self.layout(level)
         return "{" + first + sep.join(items) + last + "}"
 
-    def records(self, rows: list, keys: tuple, level: int) -> List[str]:
-        """Dicts with key order ``keys`` at ``level``: one template, scalars inline."""
+    def records(self, rec: Records, level: int) -> str:
+        """``rec`` as its list of dicts: each column's texts, then every row in one join."""
+        texts = [self.column(column, level + 2) for column in rec.columns]
+        if not texts[0]:
+            return "[]"
         first, sep, last = self.layout(level)
-        heads = [_quote(str(k)) + ": " for k in keys]
-        pieces = ["{" + first + heads[0]] + [sep + h for h in heads[1:]] + [last + "}"]
-        template = "{}".join(p.replace("{", "{{").replace("}", "}}") for p in pieces)
-        fmt, encode, inner = self.float, self.encode, level + 1
-        out = []
-        for row in rows:
-            values = []
-            for v in row.values():
-                kind = type(v)
-                if kind is float:
-                    values.append(fmt(v))
-                elif kind is int:
-                    values.append(str(v))
-                else:
-                    values.append(encode(v, inner))
-            out.append(template.format(*values))
-        return out
+        row_first, row_sep, row_last = self.layout(level + 1)
+        heads = [_quote(str(k)) + ": " for k in rec.keys]
+        glue = [sep + "{" + row_first + heads[0]] + [row_sep + h for h in heads[1:]]
+        pieces = [x for g, column in zip(glue, texts) for x in (repeat(g), column)]
+        body = "".join(chain.from_iterable(zip(*pieces, repeat(row_last + "}"))))
+        return "[" + first + body[len(sep):] + last + "]"
 
-
-def _record_keys(obj) -> tuple:
-    """The shared key tuple if ``obj`` is a list or tuple of plain dicts that
-    all have the same non-empty keys in the same order, else ``()``."""
-    if not (type(obj) is list or type(obj) is tuple) or not obj or type(obj[0]) is not dict:
-        return ()
-    keys = tuple(obj[0])
-    for row in obj:
-        if type(row) is not dict or tuple(row) != keys:
-            return ()
-    return keys
+    def column(self, values, level: int) -> list:
+        """Each value's text; a 1-D int or float array formats each distinct value once."""
+        kind = values.dtype.kind if isinstance(values, np.ndarray) and values.ndim == 1 else ""
+        if kind == "f":   # by bit pattern, so that 0.0 and -0.0 stay apart
+            distinct, at = np.unique(values.astype(np.float64).view(np.int64), return_inverse=True)
+            texts = [self.float(x) for x in distinct.view(np.float64).tolist()]
+        elif kind in ("i", "u"):
+            distinct, at = np.unique(values, return_inverse=True)
+            texts = [str(x) for x in distinct.tolist()]
+        else:
+            return [self.encode(x, level) for x in values]
+        return np.array(texts, dtype=object)[at].tolist()
 
 
 def dumps_canonical(obj, indent: int = 0) -> str:

@@ -7,14 +7,14 @@ minimum of per-scale exponents rather than a regression fit, matching the
 true lower dimension 0, so every report carries its window explicitly and
 must be read as a scale-window quantity.
 
-On 1-D coordinate clouds (both metrics are |x - y| there) the points are
-sorted once, whatever their storage order, and every center's count at one
-scale pair comes from the covering sweep's doubling table in O(n log n),
-with no witness parts built.  On other clouds, greedy rows read one
-whole-cloud bitset relation per grid scale s, ``d <= s + tol``: row x of
-the relation at R is the ball B(x, R) as a mask, and the row's count is the
-number of parts of the one greedy scan on the relation at r, started from
-that mask.  Exact rows solve one covering per row on the ball.
+On 1-D coordinate clouds (both metrics are |x - y| there) every center's
+count at one scale pair comes from the covering sweep's doubling table in
+O(n log n), with no witness parts built.  On other clouds, greedy rows read
+one whole-cloud bitset relation per grid scale s, ``d <= s + tol``: row x
+of the relation at R is the ball B(x, R) as a mask, and the row's count is
+the number of parts of the one greedy scan on the relation at r, started
+from that mask.  Exact rows solve one covering per row on the ball.  The
+table stays in columns, as (centers x pairs) arrays, up to the output text.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .cloud import PointCloud, Subset, _ball
-from .config import DEFAULT_BUDGET, DEFAULT_EXACT_CUTOFF, DEFAULT_TOL
+from .config import DEFAULT_BUDGET, DEFAULT_EXACT_CUTOFF, DEFAULT_TOL, Records
 from .covering import _ball_cover_counts_1d, _relation_rows, _scan, covering_number
 from .regular import RegularFamily, SearchResult, search_regular
 
@@ -82,18 +82,33 @@ class ScaleWindow:
 class EstimateReport:
     """Empirical scale-window surrogate for the lower-dimension exponent.
 
-    ``alpha_hat`` is the minimum of ``log N_r(B(x, R)) / log(R / r)`` over all
-    centers x and admissible grid pairs; ``argmin`` names the minimizing
-    triple and ``table`` lists every evaluated row in iteration order.
+    ``counts[x, p]`` is N_r(B(x, R)) at center x and pair ``pairs[p] = (R, r)``, and
+    ``exponents[x, p]`` is ``log N / log(R / r)``.  ``alpha_hat`` is the least exponent
+    and ``argmin`` the first (center, R, r) attaining it, centers then pairs ascending.
     """
 
     alpha_hat: float
     argmin: Optional[Tuple[int, float, float]]
-    table: List[Tuple[int, float, float, int, float]]
+    pairs: List[Tuple[float, float]]
+    counts: np.ndarray
+    exponents: np.ndarray
     window: ScaleWindow
     mode: str
 
+    @property
+    def table(self) -> List[Tuple[int, float, float, int, float]]:
+        """Every row (center, R, r, count, exponent), in table order."""
+        rows = zip(self.counts.tolist(), self.exponents.tolist())
+        return [(center, R, r, count, exponent) for center, (counts, exponents) in enumerate(rows)
+                for (R, r), count, exponent in zip(self.pairs, counts, exponents)]
+
+    def __eq__(self, other) -> bool:
+        fields = lambda rep: (rep.alpha_hat, rep.argmin, rep.table, rep.window, rep.mode)
+        return type(other) is EstimateReport and fields(self) == fields(other)
+
     def to_dict(self) -> dict:
+        n, p = self.counts.shape
+        big, small = np.array(self.pairs, dtype=float).reshape(p, 2).T
         return {
             "alpha_hat": self.alpha_hat,
             "argmin": None if self.argmin is None else
@@ -101,10 +116,9 @@ class EstimateReport:
             "window": self.window.to_dict(),
             "mode": self.mode,
             "semantics": SEMANTICS_NOTE,
-            "table": [
-                {"center": c, "R": R, "r": r, "count": n, "exponent": e}
-                for (c, R, r, n, e) in self.table
-            ],
+            "table": Records(("center", "R", "r", "count", "exponent"),
+                             (np.repeat(np.arange(n), p), np.tile(big, n), np.tile(small, n),
+                              self.counts.ravel(), self.exponents.ravel())),
         }
 
 
@@ -123,19 +137,20 @@ def lower_dim_estimate(cloud: PointCloud, window: ScaleWindow, mode: str = "exac
     if cloud.dim == 1:
         counts = _counts_1d(cloud, pairs, tol)
     else:
-        counts = _counts_generic(cloud, pairs, mode, tol, exact_cutoff)
-    table: List[Tuple[int, float, float, int, float]] = []
-    for center, row in enumerate(counts):
-        for (R, r), count in zip(pairs, row):
-            table.append((center, R, r, count, math.log(count) / math.log(R / r)))
-    if not table:
-        return EstimateReport(0.0, None, [], window, mode)
-    center, R, r, _, exponent = min(table, key=lambda entry: entry[4])   # the first minimum
-    return EstimateReport(exponent, (center, R, r), table, window, mode)
+        counts = np.asarray(_counts_generic(cloud, pairs, mode, tol, exact_cutoff), np.int64)
+    exponents = np.empty(counts.shape)
+    for p, (R, r) in enumerate(pairs):   # one log per distinct count at each pair
+        distinct, at = np.unique(counts[:, p], return_inverse=True)
+        exponents[:, p] = np.array([math.log(c) / math.log(R / r) for c in distinct.tolist()])[at]
+    if not counts.size:
+        return EstimateReport(0.0, None, pairs, counts, exponents, window, mode)
+    center, p = divmod(int(np.argmin(exponents)), len(pairs))   # row-major: the first minimum
+    return EstimateReport(float(exponents[center, p]), (center, *pairs[p]), pairs, counts,
+                          exponents, window, mode)
 
 
 def _counts_1d(cloud: PointCloud, pairs: List[Tuple[float, float]],
-               tol: float) -> List[List[int]]:
+               tol: float) -> np.ndarray:
     """Exact N_r(B(x, R)) per center (in cloud order) and pair, on a 1-D cloud.
 
     The 1-D sweep is optimal at any size, so both modes get exact counts.
@@ -143,7 +158,7 @@ def _counts_1d(cloud: PointCloud, pairs: List[Tuple[float, float]],
     counts = np.empty((cloud.n, len(pairs)), dtype=np.int64)
     for p, (R, r) in enumerate(pairs):
         counts[cloud._order, p] = _ball_cover_counts_1d(cloud._line, R, r, tol)
-    return counts.tolist()
+    return counts
 
 
 def _counts_generic(cloud: PointCloud, pairs: List[Tuple[float, float]], mode: str,

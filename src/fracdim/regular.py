@@ -329,8 +329,8 @@ def search_regular(cloud: PointCloud, k: int, l: int, depth: int,
                    tol: float = DEFAULT_TOL) -> SearchResult:
     """Search for a (k, l)-regular family of the given depth.
 
-    Root candidates are tried in index order; child sets in lexicographic
-    index order (leftmost-first by coordinate on 1-D clouds), so the first
+    Roots are tried in index order, child sets in lexicographic index order,
+    and both leftmost-first by coordinate on 1-D clouds, so the first
     success is deterministic.  The found family is re-verified against the
     definition before being returned.
     """
@@ -342,7 +342,7 @@ def search_regular(cloud: PointCloud, k: int, l: int, depth: int,
         raise ValueError("budget must be at least 1")
     searcher = _Search(cloud, k, l, strong, budget, tol)
     try:
-        for root in range(cloud.n):
+        for root in cloud._order.tolist() if cloud.dim == 1 else range(cloud.n):
             frag = searcher.subtree(root, 0, depth)
             if frag is not None:
                 family = RegularFamily(k, l, depth, strong, dict(frag))

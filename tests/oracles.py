@@ -8,6 +8,7 @@ expected values computed here.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -180,6 +181,21 @@ def greedy_estimate_counts_oracle(dmat: np.ndarray, pairs, tol: float = 1e-12) -
             row.append(len(greedy_cover_oracle(dmat[np.ix_(ball, ball)], r, tol)))
         counts.append(row)
     return counts
+
+
+def estimate_table_oracle(pairs, counts) -> tuple:
+    """The estimate table as the row loop built it before the columnar one:
+    one tuple and one ``math.log`` quotient per row, then the first minimum by
+    ``min``.  ``counts[c][p]`` is center c's count at ``pairs[p]``; returns
+    (table, alpha_hat, argmin), with ``([], 0.0, None)`` for no rows."""
+    table = []
+    for center, row in enumerate(counts):
+        for (R, r), count in zip(pairs, row):
+            table.append((center, R, r, count, math.log(count) / math.log(R / r)))
+    if not table:
+        return [], 0.0, None
+    center, R, r, _, exponent = min(table, key=lambda entry: entry[4])
+    return table, exponent, (center, R, r)
 
 
 def greedy_pack_oracle(dmat: np.ndarray, sep: float, tol: float = 1e-12,

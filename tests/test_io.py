@@ -9,6 +9,7 @@ from fracdim import (FiniteTree, PointCloud, RegularFamily, ScaleWindow,
                      cantor_cloud, dyadic_interval_cloud, lower_dim_estimate,
                      search_regular)
 from fracdim import io
+from fracdim.config import Records
 from oracles import canonical_json_oracle
 
 
@@ -164,6 +165,69 @@ class TestCanonicalJsonOracle:
         for indent in (0, 2):
             assert (_outcome(io.dumps_canonical, doc, indent)
                     == _outcome(canonical_json_oracle, doc, indent))
+
+
+_FLOATS = (st.sampled_from(_EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
+           | st.integers(-2 ** 60, 2 ** 60).map(float))
+
+
+def _column(rows: int):
+    """One Records column: a float, int or unsigned array, or a list of any
+    finite scalars, Python and numpy."""
+    def size(values):
+        return st.lists(values, min_size=rows, max_size=rows)
+
+    return st.one_of(
+        size(_FLOATS).map(lambda v: np.array(v, dtype=np.float64)),
+        size(st.floats(width=32, allow_nan=False, allow_infinity=False))
+        .map(lambda v: np.array(v, dtype=np.float32)),
+        size(st.integers(-2 ** 63, 2 ** 63 - 1)).map(lambda v: np.array(v, dtype=np.int64)),
+        size(st.integers(0, 2 ** 64 - 1)).map(lambda v: np.array(v, dtype=np.uint64)),
+        size(_FLOATS | st.integers() | st.booleans()),
+        size(_scalars(finite=True)))
+
+
+@st.composite
+def _records(draw):
+    """A Records and the list of dicts it stands for."""
+    keys = tuple(draw(st.lists(_KEYS, min_size=1, max_size=4, unique=True)))
+    rows = draw(st.integers(0, 6))
+    columns = tuple(draw(_column(rows)) for _ in keys)
+    return Records(keys, columns), [dict(zip(keys, row)) for row in zip(*columns)]
+
+
+class TestRecords:
+    """A Records written column by column against the oracle on its list of dicts."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_records())
+    def test_matches_list_of_dicts(self, drawn):
+        rec, rows = drawn
+        nested = [(rec, rows), ({"a": rec, "b": [rec]}, {"a": rows, "b": [rows]}),
+                  ([1, {"t": rec}, rec], [1, {"t": rows}, rows])]
+        for indent in (0, 2):
+            for doc, plain in nested:
+                assert io.dumps_canonical(doc, indent=indent) == canonical_json_oracle(plain, indent)
+
+    def test_signed_zeros_and_no_rows(self):
+        rec = Records(("a", "b"), (np.array([0.0, -0.0, 0.0]), [-0.0, 0.0, -0.0]))
+        assert io.dumps_canonical(rec) == (
+            '[{"a": 0.0, "b": -0.0}, {"a": -0.0, "b": 0.0}, {"a": 0.0, "b": -0.0}]')
+        empty = Records(("a", "b"), (np.array([]), []))
+        assert io.dumps_canonical(empty) == io.dumps_canonical(empty, indent=2) == "[]"
+        assert io.dumps_canonical({"t": empty}, indent=2) == '{\n  "t": []\n}'
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_nonfinite_rejected(self, bad):
+        for column in (np.array([1.0, bad]), [1.0, bad]):
+            with pytest.raises(ValueError):
+                io.dumps_canonical(Records(("a", "b"), (column, [2, 3])), indent=2)
+
+    @pytest.mark.parametrize("keys, columns", [((), ()), (("a", "b"), ([1],)),
+                                               (("a", "b"), ([1], [1, 2]))])
+    def test_shape_checked(self, keys, columns):
+        with pytest.raises(ValueError):
+            Records(keys, columns)
 
 
 class TestCloudFiles:

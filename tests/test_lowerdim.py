@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 import fracdim.cloud as cloud_module
 from fracdim import (PointCloud, ScaleWindow, cantor_cloud, dimension_bound,
-                     dyadic_interval_cloud, interval_plus_point_cloud,
+                     dyadic_interval_cloud, interval_plus_point_cloud, io,
                      lower_dim_estimate, mod_lower_dim_bound, verify_regular)
-from oracles import certified_cover_count_1d, distance_row_oracle, greedy_estimate_counts_oracle
+from oracles import (certified_cover_count_1d, distance_row_oracle, estimate_table_oracle,
+                     greedy_estimate_counts_oracle)
 
 
 def uniform_grid_min_exponent(resolution, window):
@@ -212,6 +213,54 @@ class TestOneDimensionalPath:
         assert len(reversed_.table) == len(ascending.table) > 0
         assert sorted((39 - c, R, r, n, e) for (c, R, r, n, e) in reversed_.table) \
             == sorted(ascending.table)
+
+
+def _assert_table(rep, pairs, counts):
+    """``rep`` holds the oracle's table, minimum and argmin for ``counts``,
+    every row as plain Python numbers."""
+    table, alpha_hat, argmin = estimate_table_oracle(pairs, counts)
+    assert rep.table == table
+    assert (rep.alpha_hat, rep.argmin) == (alpha_hat, argmin) and type(rep.alpha_hat) is float
+    assert all(tuple(map(type, row)) == (int, float, float, int, float) for row in rep.table)
+
+
+class TestTableOracle:
+    """The columnar table against the row loop it replaced, on counts from
+    the independent oracles."""
+
+    # dyadic points give many equal exponents, so the first minimum counts
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(0, 63), min_size=1, max_size=30, unique=True),
+           st.sampled_from(["exact", "greedy"]))
+    def test_dyadic_line(self, slots, mode):
+        x = np.asarray(slots, dtype=float) / 64.0
+        cloud, w = PointCloud(x), ScaleWindow(2.0 ** -5, 2.0 ** -1)
+        pairs = w.pairs(diam_cap=cloud.diam())
+        counts = [[certified_cover_count_1d(x[np.abs(x - c) <= R + 1e-12], r) for R, r in pairs]
+                  for c in x]
+        _assert_table(lower_dim_estimate(cloud, w, mode=mode), pairs, counts)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(0, 255), min_size=1, max_size=24, unique=True),
+           st.sampled_from(["euclidean", "l1"]))
+    def test_greedy_plane(self, cells, metric):
+        cloud, dmat = _dyadic_grid_cloud(cells, metric)
+        w = TestGreedyRelationRows.WINDOW
+        pairs = w.pairs(diam_cap=cloud.diam())
+        _assert_table(lower_dim_estimate(cloud, w, mode="greedy"), pairs,
+                      greedy_estimate_counts_oracle(dmat, pairs))
+
+    def test_reports_compare_by_value(self):
+        w = ScaleWindow(2.0 ** -3, 2.0 ** -1)
+        rep = lower_dim_estimate(dyadic_interval_cloud(4), w)
+        assert rep == lower_dim_estimate(dyadic_interval_cloud(4), w) != rep.table
+        assert rep != lower_dim_estimate(dyadic_interval_cloud(3), w)
+        assert rep != lower_dim_estimate(dyadic_interval_cloud(4), w, mode="greedy")
+
+    def test_empty_window(self):
+        rep = lower_dim_estimate(dyadic_interval_cloud(3), ScaleWindow(4.0, 16.0))
+        assert rep.table == [] and (rep.alpha_hat, rep.argmin) == (0.0, None)
+        assert '\n  "table": []\n}' in io.dumps_canonical(rep.to_dict(), indent=2)
 
 
 class TestDimensionBound:

@@ -304,11 +304,11 @@ class TestScalingCheck:
             certificate_scaling_check(grid11, fam)
 
 
-def _permuted_polarized():
+def _permuted_polarized(seed=0):
     """The polarized depth-8 cloud and natural family, sorted and in a seeded
     storage order, as ((cloud, family), (cloud, family))."""
     cloud, fam = polarized_natural_family(8)
-    perm = np.random.default_rng(0).permutation(cloud.n)
+    perm = np.random.default_rng(seed).permutation(cloud.n)
     back = np.argsort(perm)
     permuted = RegularFamily(2, 2, 8, False, {lab: int(back[i]) for lab, i in fam.assign.items()})
     return (cloud, fam), (PointCloud(cloud.coords[perm, 0]), permuted)
@@ -323,6 +323,18 @@ class TestUnsorted1DSearch:
         res = search_regular(cloud, 2, 2, 8, budget=1000)
         assert res.family is not None and not res.exhausted
         assert verify_regular(cloud, res.family).ok
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_roots_in_coordinate_order(self, seed):
+        """Every storage order takes the sorted copy's expansion count and finds
+        the sorted copy's family: the same points under every label."""
+        (cloud, _), (permuted, _) = _permuted_polarized(seed)
+        sorted_res = search_regular(cloud, 2, 2, 8, budget=1000)
+        res = search_regular(permuted, 2, 2, 8, budget=1000)
+        assert res.expansions == sorted_res.expansions == 766 and not res.exhausted
+        assert verify_regular(permuted, res.family).ok
+        assert {lab: permuted.coords[i, 0] for lab, i in res.family.assign.items()} \
+            == {lab: cloud.coords[i, 0] for lab, i in sorted_res.family.assign.items()}
 
     def test_max_depth_matches_sorted(self):
         (cloud, _), (permuted, _) = _permuted_polarized()
