@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, replace
 
@@ -76,6 +77,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if not self.tol > 0:
             raise ValueError("tol must be positive")
+        if not math.isfinite(self.tol):
+            raise ValueError("tol must be finite")
         if self.exact_cutoff < 4:
             raise ValueError("exact_cutoff must be at least 4")
         if self.budget < 1:

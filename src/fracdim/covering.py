@@ -25,11 +25,11 @@ the greedy packing.  Subsets of up to 2,896 points hold the relation as one
 bitset per row; larger ones compute each new member's distances to the
 remaining candidates only.  The scan may start from a given mask, so the
 rows of one whole-cloud relation scan any subset (a ball, say) with no
-rows rebuilt.  The exact solvers build one bitset relation per
-solve and nothing else: the cover search tests a part against a row with
-one AND, and its greedy upper bound and separated lower bound are scans of
-those rows and of their complement.  Private helpers take index arrays, and
-witnesses are reproducible across runs and platforms.
+rows rebuilt.  Exact packing builds one bitset relation per solve; exact
+cover search runs on given rows within a mask, so exact estimate rows reuse
+the whole-cloud relations.  It tests a part against a row with one AND, and
+its bounds are scans of those rows and their complement.  Private helpers
+take index arrays, and witnesses are reproducible across runs and platforms.
 """
 from __future__ import annotations
 
@@ -212,48 +212,55 @@ def _separated_lower_bound(cloud: PointCloud, idx: np.ndarray, r: float,
     return (_greedy_parts(cloud, idx, lambda d: d > r + tol) or [idx])[0]
 
 
-def _bb_min_clique_cover(cloud: PointCloud, idx: np.ndarray, r: float,
-                         tol: float) -> List[np.ndarray]:
-    """Exact minimum partition of ``idx`` into diameter-<=r parts, branch-and-bound.
+def _min_clique_cover(rows: List[int], mask: int) -> List[int]:
+    """Exact minimum partition of the positions in ``mask`` into parts related
+    pairwise under bitset ``rows``, branch-and-bound, as bitsets.
 
-    Vertices are assigned in index order to an existing compatible part or a
-    fresh one; a fixed exploration order keeps the witness deterministic.
-    The greedy cover is the first upper bound; the first greedy part of the
-    complement relation (d > r + tol) is a separated lower bound.
-    """
-    m = idx.size
-    if m == 0:
+    Vertices, the positions in increasing order, are assigned to an existing
+    compatible part or a fresh one; a fixed exploration order keeps the
+    witness deterministic.  The greedy scan of ``mask`` is the first upper
+    bound; the first greedy part of the complement relation is a separated
+    lower bound."""
+    if not mask:
         return []
-    rows = _relation_rows(cloud, idx, lambda d: d <= r + tol)
-    members, ends = _scan(rows)
+    members, ends = _scan(rows, mask)
+    verts = sorted(members)     # the scan covers every position in mask
     best = [sum(1 << t for t in members[a:b]) for a, b in zip(ends, ends[1:])]
-    full = (1 << m) - 1
-    _, far_ends = _scan([full ^ row for row in rows])
+    _, far_ends = _scan({v: mask & ~rows[v] for v in verts}, mask)
 
     parts: List[int] = []
 
-    def dfs(v: int) -> None:
+    def dfs(i: int) -> None:
         nonlocal best
         if len(parts) >= len(best):
             return
-        if v == m:
+        if i == len(verts):
             best = list(parts)
             return
+        v = verts[i]
         bit = 1 << v
         for j in range(len(parts)):
             part = parts[j]
             if rows[v] & part == part:
                 parts[j] = part | bit
-                dfs(v + 1)
+                dfs(i + 1)
                 parts[j] = part
         if len(parts) + 1 < len(best):
             parts.append(bit)
-            dfs(v + 1)
+            dfs(i + 1)
             parts.pop()
 
     if len(best) > far_ends[1]:     # else greedy meets the lower bound
         dfs(0)
-    return [idx[[u for u in range(m) if part >> u & 1]] for part in best]
+    return best
+
+
+def _bb_min_clique_cover(cloud: PointCloud, idx: np.ndarray, r: float,
+                         tol: float) -> List[np.ndarray]:
+    """Exact minimum partition of ``idx`` into diameter-<=r parts: :func:`_min_clique_cover`."""
+    rows = _relation_rows(cloud, idx, lambda d: d <= r + tol)
+    return [idx[[u for u in range(idx.size) if part >> u & 1]]
+            for part in _min_clique_cover(rows, (1 << idx.size) - 1)]
 
 
 def _bb_max_separated(cloud: PointCloud, idx: np.ndarray, sep: float,
@@ -278,6 +285,12 @@ def _bb_max_separated(cloud: PointCloud, idx: np.ndarray, sep: float,
     return idx[np.asarray([u for u in range(m) if best >> u & 1], dtype=np.int64)]
 
 
+def _refuse_above_cutoff(what: str, size: int, exact_cutoff: int) -> None:
+    """Refuse an exact ``what`` (covering or packing) on more than ``exact_cutoff`` points."""
+    if size > exact_cutoff:
+        raise ValueError(f"exact {what} requested on {size} points, cutoff {exact_cutoff}")
+
+
 def covering_number(subset: Subset, r: float, mode: str = "auto",
                     tol: float = DEFAULT_TOL,
                     exact_cutoff: int = DEFAULT_EXACT_CUTOFF) -> CoverResult:
@@ -298,9 +311,7 @@ def covering_number(subset: Subset, r: float, mode: str = "auto",
     elif cloud.dim == 1:
         parts = _sweep_cover_parts(cloud, idx, r, tol)
     elif mode == "exact" or (mode == "auto" and idx.size <= exact_cutoff):
-        if idx.size > exact_cutoff:
-            raise ValueError(
-                f"exact covering requested on {idx.size} points, cutoff {exact_cutoff}")
+        _refuse_above_cutoff("covering", idx.size, exact_cutoff)
         parts = _bb_min_clique_cover(cloud, idx, r, tol)
     else:
         parts, exact = _greedy_cover_parts(cloud, idx, r, tol), False
@@ -327,9 +338,7 @@ def packing_number(subset: Subset, sep: float, mode: str = "greedy",
         idx = _by_coordinate(cloud, idx)
         wit = np.sort(idx[_sweep_pack(cloud.coords[idx, 0], sep, tol)])
     elif mode == "exact":
-        if idx.size > exact_cutoff:
-            raise ValueError(
-                f"exact packing requested on {idx.size} points, cutoff {exact_cutoff}")
+        _refuse_above_cutoff("packing", idx.size, exact_cutoff)
         wit = _bb_max_separated(cloud, idx, sep, tol)
     else:
         wit, exact = _greedy_pack_indices(cloud, idx, sep, tol), False

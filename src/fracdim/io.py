@@ -258,9 +258,9 @@ def write_report(report: EstimateReport, path: str) -> None:
 
 
 def write_report_csv(report: EstimateReport, path: str) -> None:
+    table, encoder = report.to_dict()["table"], _Encoder(0)
+    # numbers need no quoting; rows end in \r\n, as csv.writer ends them
+    cells = [x for column in table.columns for x in (encoder.column(column, 0), repeat(","))]
+    cells[-1] = repeat("\r\n")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["center", "R", "r", "count", "exponent"])
-        fmt = _float_format()
-        for (c, R, r, n, e) in report.table:
-            writer.writerow([c, fmt(R), fmt(r), n, fmt(e)])
+        fh.write(",".join(table.keys) + "\r\n" + "".join(chain.from_iterable(zip(*cells))))

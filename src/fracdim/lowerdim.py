@@ -9,12 +9,12 @@ must be read as a scale-window quantity.
 
 On 1-D coordinate clouds (both metrics are |x - y| there) every center's
 count at one scale pair comes from the covering sweep's doubling table in
-O(n log n), with no witness parts built.  On other clouds, greedy rows read
+O(n log n), with no witness parts built.  On other clouds, both modes read
 one whole-cloud bitset relation per grid scale s, ``d <= s + tol``: row x
 of the relation at R is the ball B(x, R) as a mask, and the row's count is
-the number of parts of the one greedy scan on the relation at r, started
-from that mask.  Exact rows solve one covering per row on the ball.  The
-table stays in columns, as (centers x pairs) arrays, up to the output text.
+that of the one greedy scan, or of the exact cover solver, on the relation
+at r within that mask, so no distance matrix is built.  The table stays in
+columns, as (centers x pairs) arrays, up to the output text.
 """
 from __future__ import annotations
 
@@ -24,9 +24,10 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .cloud import PointCloud, Subset, _ball
+from .cloud import PointCloud
 from .config import DEFAULT_BUDGET, DEFAULT_EXACT_CUTOFF, DEFAULT_TOL, Records
-from .covering import _ball_cover_counts_1d, _relation_rows, _scan, covering_number
+from .covering import (_ball_cover_counts_1d, _min_clique_cover, _refuse_above_cutoff,
+                       _relation_rows, _scan)
 from .regular import RegularFamily, SearchResult, search_regular
 
 SEMANTICS_NOTE = "scale-window estimate on a finite sample, not a limit quantity"
@@ -42,6 +43,9 @@ class ScaleWindow:
     min_gap: float = 4.0
 
     def __post_init__(self) -> None:
+        for name, value in self.to_dict().items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
         if not (0 < self.r_min < self.r_max):
             raise ValueError("need 0 < r_min < r_max")
         if not self.ratio > 1:
@@ -165,30 +169,25 @@ def _counts_generic(cloud: PointCloud, pairs: List[Tuple[float, float]], mode: s
                     tol: float, exact_cutoff: int) -> List[List[int]]:
     """N_r(B(x, R)) per center and pair, on a cloud that is not 1-D.
 
-    Greedy rows scan one relation per distinct scale s (see the module
+    Both modes read one relation per distinct scale s (see the module
     docstring).  Its row x compares the cloud's distances from x with
     ``s + tol``, the comparison of the one ball rule,
     :func:`fracdim.cloud._ball`.  Bit order is index order, and ball indices
-    are sorted, so each count is that of the greedy cover of the ball.
-    Exact rows solve one covering per row on the ball from ``_ball``.
+    are sorted, so each count is that of the greedy or exact cover of the
+    ball.  Exact mode refuses the first ball, in table order, above the cutoff.
     """
-    if mode == "greedy":
-        everything = np.arange(cloud.n, dtype=np.int64)
-        relation = {s: _relation_rows(cloud, everything, lambda d, s=s: d <= s + tol)
-                    for s in {s for pair in pairs for s in pair}}
-        return [[len(_scan(relation[r], relation[R][center])[1]) - 1 for R, r in pairs]
-                for center in range(cloud.n)]
-    counts = []
-    for center in range(cloud.n):
-        balls: dict = {}
-        row = []
-        for R, r in pairs:
-            if R not in balls:
-                balls[R] = _ball(cloud, center, R, tol)
-            row.append(covering_number(Subset(cloud, balls[R]), r, mode=mode, tol=tol,
-                                       exact_cutoff=exact_cutoff).count)
-        counts.append(row)
-    return counts
+    everything = np.arange(cloud.n, dtype=np.int64)
+    relation = {s: _relation_rows(cloud, everything, lambda d, s=s: d <= s + tol)
+                for s in {s for pair in pairs for s in pair}}
+
+    def count(rows: List[int], ball: int) -> int:
+        if mode == "greedy":
+            return len(_scan(rows, ball)[1]) - 1
+        _refuse_above_cutoff("covering", ball.bit_count(), exact_cutoff)
+        return len(_min_clique_cover(rows, ball))
+
+    return [[count(relation[r], relation[R][center]) for R, r in pairs]
+            for center in range(cloud.n)]
 
 
 def dimension_bound(k: int, l: int) -> float:

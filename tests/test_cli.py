@@ -88,6 +88,20 @@ class TestEstimate:
         assert code == 0
         assert csv_path.exists()
 
+    # --r-max inf, which used to hang, is left to the constructor's test
+    @pytest.mark.parametrize("flag, value", [
+        ("--r-min", "inf"), ("--r-min", "nan"), ("--r-max", "nan"), ("--ratio", "inf"),
+        ("--ratio", "nan"), ("--min-gap", "inf"), ("--min-gap", "nan")])
+    def test_non_finite_window(self, capsys, tmp_path, flag, value):
+        # --min-gap nan used to run the estimate and fail only at output
+        cloud_path = tmp_path / "g.json"
+        io.write_cloud(PointCloud([[0.0, 0.0], [0.5, 0.0]]), cloud_path)
+        argv = {"--r-min": "0.1", "--r-max": "0.5", flag: value}
+        code, out, err = run_cli(capsys, "estimate", str(cloud_path),
+                                 *(x for item in argv.items() for x in item))
+        assert (code, out) == (2, "")
+        assert err == f"validation error: {flag[2:].replace('-', '_')} must be finite\n"
+
     def test_bad_window(self, capsys, tmp_path):
         cloud_path = tmp_path / "g.json"
         run_cli(capsys, "generate", "dyadic-grid", "--resolution", "4",
@@ -279,6 +293,7 @@ class TestInfoAndConfig:
     @pytest.mark.parametrize("flag, value, message", [
         ("--tol", "0", "tol must be positive"),
         ("--tol", "-1e-9", "tol must be positive"),
+        ("--tol", "inf", "tol must be finite"),
         ("--exact-cutoff", "3", "exact_cutoff must be at least 4"),
         ("--budget", "0", "budget must be at least 1"),
     ])
@@ -483,6 +498,14 @@ class TestMalformedFiles:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"tol": "1e-9"}))
         self._assert_validation_error(_run_module("--config", str(cfg_path), "info"))
+
+    def test_config_infinite_tol(self, tmp_path):
+        # 1e999 parses as inf; it used to give alpha_hat 0.0 and exit 0
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"tol": 1e999}')
+        proc = _run_module("--config", str(cfg_path), "info")
+        self._assert_validation_error(proc)
+        assert "tol must be finite" in proc.stderr
 
     def test_config_removed_output_key(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -14,7 +14,8 @@ from fracdim import (PointCloud, RegularFamily, ScaleWindow, Subset, cantor_clou
                      verify_regular)
 from fracdim.covering import (CoverResult, PackResult, _bb_max_separated,
                               _bb_min_clique_cover, _greedy_cover_parts, _greedy_pack_indices,
-                              _separated_lower_bound, _sweep_cover_counts, _sweep_cover_parts)
+                              _min_clique_cover, _relation_rows, _separated_lower_bound,
+                              _sweep_cover_counts, _sweep_cover_parts)
 from oracles import (bb_max_separated_oracle, bb_min_clique_cover_oracle,
                      certified_cover_count_1d, distance_row_oracle, exact_cover_oracle,
                      exact_pack_oracle, greedy_cover_oracle, greedy_pack_oracle,
@@ -399,6 +400,24 @@ class TestBitsetExactSolvers:
         assert _exact_solves(cloud, idx, steps / 8.0) == expected
         with mock.patch.object(cloud_module, "_BLOCK_ELEMENTS", 8):   # one row per block
             assert _exact_solves(cloud, idx, steps / 8.0) == expected
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.integers(0, 15 * 16 + 15), min_size=1, max_size=16, unique=True),
+           st.sampled_from(["euclidean", "l1"]), st.integers(1, 12), st.data())
+    @example([1, 2, 0, 3], "euclidean", 1, None)        # greedy 3 parts, optimum 2
+    def test_whole_cloud_rows_within_a_mask(self, cells, metric, steps, data):
+        # the estimate's exact rows: the relation of every point, restricted
+        # to a mask, gives the parts of the solve on the masked points alone
+        if data is None:
+            keep = range(len(cells))
+        else:
+            keep = data.draw(st.lists(st.sampled_from(range(len(cells))), unique=True))
+        cloud, idx, _ = _grid_instance(cells, metric, keep)
+        r = steps / 8.0
+        rows = _relation_rows(cloud, np.arange(cloud.n), lambda d: d <= r + TOL)
+        parts = _min_clique_cover(rows, sum(1 << int(i) for i in idx))
+        assert [[u for u in range(cloud.n) if part >> u & 1] for part in parts] \
+            == [p.tolist() for p in _bb_min_clique_cover(cloud, idx, r, TOL)]
 
     @settings(max_examples=120, deadline=None)
     @given(st.integers(1, 16), st.sampled_from([1.0, 1.25, 1.5, 1.75, 2.0]), st.data())

@@ -1,11 +1,13 @@
+import csv
 import json
+from io import StringIO
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracdim import (FiniteTree, PointCloud, RegularFamily, ScaleWindow,
+from fracdim import (EstimateReport, FiniteTree, PointCloud, RegularFamily, ScaleWindow,
                      cantor_cloud, dyadic_interval_cloud, lower_dim_estimate,
                      search_regular)
 from fracdim import io
@@ -332,3 +334,17 @@ class TestReportFiles:
             assert line == ",".join([str(c), canonical_json_oracle(R),
                                      canonical_json_oracle(r), str(n),
                                      canonical_json_oracle(e)])
+
+    @pytest.mark.parametrize("window", [ScaleWindow(3.0 ** -4, 3.0 ** -1, ratio=3, min_gap=3),
+                                        ScaleWindow(4.0, 16.0)])   # the second: no rows
+    def test_csv_bytes_match_the_row_writer(self, tmp_path, monkeypatch, window):
+        # the csv.writer row loop over the table that the column join replaced
+        report = lower_dim_estimate(cantor_cloud(5), window)
+        expected = StringIO()
+        writer = csv.writer(expected)
+        writer.writerow(["center", "R", "r", "count", "exponent"])
+        writer.writerows([c, canonical_json_oracle(R), canonical_json_oracle(r), n,
+                          canonical_json_oracle(e)] for c, R, r, n, e in report.table)
+        monkeypatch.setattr(EstimateReport, "table", property(lambda rep: pytest.fail("read")))
+        io.write_report_csv(report, tmp_path / "rep.csv")
+        assert (tmp_path / "rep.csv").read_bytes() == expected.getvalue().encode()

@@ -7,11 +7,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fracdim.cloud as cloud_module
-from fracdim import (PointCloud, ScaleWindow, cantor_cloud, dimension_bound,
-                     dyadic_interval_cloud, interval_plus_point_cloud, io,
+from fracdim import (PointCloud, ScaleWindow, cantor_cloud, closed_ball, covering_number,
+                     dimension_bound, dyadic_interval_cloud, interval_plus_point_cloud, io,
                      lower_dim_estimate, mod_lower_dim_bound, verify_regular)
 from oracles import (certified_cover_count_1d, distance_row_oracle, estimate_table_oracle,
-                     greedy_estimate_counts_oracle)
+                     exact_cover_oracle, greedy_estimate_counts_oracle)
 
 
 def uniform_grid_min_exponent(resolution, window):
@@ -36,6 +36,15 @@ class TestScaleWindow:
             ScaleWindow(0.1, 0.5, ratio=1.0)
         with pytest.raises(ValueError):
             ScaleWindow(0.1, 0.5, ratio=2.0, min_gap=1.5)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("field", ["r_min", "r_max", "ratio", "min_gap"])
+    def test_non_finite_refused(self, field, value):
+        # an infinite r_max used to make scales() run forever, a nan min_gap
+        # to pass validation; only the constructor is called here
+        fields = {"r_min": 0.1, "r_max": 0.5, "ratio": 2.0, "min_gap": 4.0, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+            ScaleWindow(**fields)
 
     def test_scales_and_pairs(self):
         w = ScaleWindow(2.0 ** -6, 2.0 ** -1, ratio=2.0, min_gap=4.0)
@@ -180,6 +189,51 @@ class TestGreedyRelationRows:
         assert capped.dense() is None
         assert len(got.table) == 60 * len(w.pairs()) and got.table == expected.table
         assert (got.alpha_hat, got.argmin) == (expected.alpha_hat, expected.argmin)
+
+
+class TestExactRelationRows:
+    """Exact rows read from the whole-cloud relations against the subset
+    dynamic program of each ball's distances."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, 255), min_size=1, max_size=12, unique=True),
+           st.sampled_from(["euclidean", "l1", "matrix"]), st.sampled_from([1e-12, 1 / 8]))
+    @example([0, 3, 4, 64, 67, 8, 136], "euclidean", 1 / 8)   # 3-4-5 triangles, axis ties
+    @example([1, 2, 0, 3], "euclidean", 1e-12)   # at r = 1/8 greedy takes 3 parts, exact 2
+    def test_matches_cover_oracle(self, cells, metric, tol):
+        cloud, dmat = _dyadic_grid_cloud(cells, metric)
+        pairs = TestGreedyRelationRows.WINDOW.pairs(diam_cap=cloud.diam(), tol=tol)
+        oracle = {}
+        expected = []
+        for c in range(len(cells)):
+            for R, r in pairs:
+                ball = tuple(np.flatnonzero(dmat[c] <= R + tol))
+                if (ball, r) not in oracle:
+                    oracle[ball, r] = exact_cover_oracle(dmat[np.ix_(ball, ball)], r, tol)
+                expected.append((c, R, r, oracle[ball, r]))
+        rep = lower_dim_estimate(cloud, TestGreedyRelationRows.WINDOW, tol=tol)
+        assert [(c, R, r, n) for c, R, r, n, _ in rep.table] == expected
+        # one row per block, and a dense cap below n^2: no matrix to slice
+        with mock.patch.object(cloud_module, "_BLOCK_ELEMENTS", 8), \
+                mock.patch.object(cloud_module, "_DENSE_CAP", len(cells) ** 2 - 1):
+            cloud, _ = _dyadic_grid_cloud(cells, metric)
+            rep = lower_dim_estimate(cloud, TestGreedyRelationRows.WINDOW, tol=tol)
+        assert [(c, R, r, n) for c, R, r, n, _ in rep.table] == expected
+
+    @pytest.mark.parametrize("cutoff, center, size", [(20, 1, 21), (25, 7, 32)])
+    def test_refusal_pinned(self, cutoff, center, size):
+        # pairs (1/2, 1/16), (1/2, 1/8), (1/4, 1/16); center 4's first ball
+        # holds 24 points, so at cutoff 20 the refusal names center 1's
+        cloud = PointCloud(np.random.default_rng(7).random((40, 2)))
+        w = ScaleWindow(1 / 16, 1 / 2)
+        message = f"exact covering requested on {size} points, cutoff {cutoff}"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            lower_dim_estimate(cloud, w, exact_cutoff=cutoff)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            covering_number(closed_ball(cloud, center, 0.5), 1 / 16, mode="exact",
+                            exact_cutoff=cutoff)
+        sizes = [len(closed_ball(cloud, c, 0.5)) for c in range(center + 1)]
+        assert max(sizes[:center]) <= cutoff < sizes[center] == size
 
 
 class TestOneDimensionalPath:

@@ -465,7 +465,7 @@ def subset_count(monkeypatch):
 
 
 class TestIndexArraysInside:
-    """Search, the scaling check and the greedy estimate pass index arrays
+    """Search, the scaling check and the estimate pass index arrays
     around; a ``Subset`` is built only where a public function returns one."""
 
     @pytest.mark.parametrize("cloud,k,l,depth", [
@@ -481,10 +481,14 @@ class TestIndexArraysInside:
         assert certificate_scaling_check(cloud, fam) is True
         assert subset_count[0] == 1     # level_points' deepest level
 
-    def test_greedy_estimate_builds_no_subset(self, subset_count):
+    @pytest.mark.parametrize("mode", ["greedy", "exact"])
+    def test_estimate_builds_no_subset(self, subset_count, mode):
+        # both modes read the whole-cloud relations; no row builds a Subset
+        # or the distance matrix
         cells = np.random.default_rng(5).choice(64 * 64, size=60, replace=False)
         cloud = PointCloud(np.stack([cells // 64, cells % 64], axis=1) / 64.0)
         cloud.diam()     # the cached diameter builds one Subset of the whole cloud
         subset_count[0] = 0
-        lower_dim_estimate(cloud, ScaleWindow(1 / 32, 1 / 2), mode="greedy")
+        lower_dim_estimate(cloud, ScaleWindow(1 / 32, 1 / 2), mode=mode, exact_cutoff=60)
         assert subset_count[0] == 0
+        assert cloud._dense is None
