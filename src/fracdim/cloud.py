@@ -6,11 +6,12 @@ distance matrix.
 
 Every distance the package computes comes from one kernel,
 :func:`_distance_blocks`, and every closed ball comes from one rule,
-:func:`_ball` (the greedy estimate makes the same comparison in its bitset
-relation rows).  Every 1-D path reads the coordinate order (``_order``, and
-``_line``, the coordinates in it), computed once whatever the storage order,
-and finds where a run ends with :func:`_run_end`, which compares the
-kernel's distances, as the validators and the verifier do.
+:func:`_ball` (the ball-count kernel, ``covering._ball_counts``, makes the
+same comparison in its bitset relation rows).  Every 1-D path reads the
+coordinate order (``_order``, and ``_line``, the coordinates in it),
+computed once whatever the storage order, and finds where a run ends with
+:func:`_run_end`, which compares the kernel's distances, as the validators
+and the verifier do.
 A coordinate cloud with n^2 <= ``_DENSE_CAP`` (n <= 2,896, at most 64 MB)
 builds its full distance matrix the first time rows are asked for
 (:meth:`PointCloud.dense`, ``distances_from``, ``pairwise``) and keeps it;
@@ -42,7 +43,7 @@ METRICS = COORDINATE_METRICS + ("matrix",)
 
 # Explicit matrices are triangle-checked exhaustively up to this size,
 # by deterministic sampling (10*n triples) above it.
-_TRIANGLE_EXHAUSTIVE_LIMIT = 500
+_TRIANGLE_EXHAUSTIVE_LIMIT = 1000
 
 # Coordinate clouds keep a dense distance matrix while n^2 stays within this
 # many entries (64 MB of float64); larger clouds recompute rows.

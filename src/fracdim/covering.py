@@ -16,20 +16,23 @@ instead: the sweep's jump ``i -> next_r[i]`` is composed with itself
 every center's ball) come out in one vectorized pass of O(log n) steps,
 O(n log n) per scale, with no parts built.
 
-One greedy scan serves three jobs: each part starts at the first uncovered
+One greedy scan serves two jobs: each part starts at the first uncovered
 point and takes, in scan order, every uncovered point related to all
-members so far.  Under ``d <= r + tol`` the parts are the greedy cover; the
-first part under ``d > r + tol`` is a separated family (a certified lower
-bound on the covering number); the first part under ``d >= sep - tol`` is
-the greedy packing.  Subsets of up to 2,896 points hold the relation as one
-bitset per row; larger ones compute each new member's distances to the
-remaining candidates only.  The scan may start from a given mask, so the
-rows of one whole-cloud relation scan any subset (a ball, say) with no
-rows rebuilt.  Exact packing builds one bitset relation per solve; exact
-cover search runs on given rows within a mask, so exact estimate rows reuse
-the whole-cloud relations.  It tests a part against a row with one AND, and
-its bounds are scans of those rows and their complement.  Private helpers
-take index arrays, and witnesses are reproducible across runs and platforms.
+members so far.  Under ``d <= r + tol`` the parts are the greedy cover;
+the first part under ``d >= sep - tol`` is the greedy packing.  Subsets of
+up to 2,896 points hold the relation as one bitset per row, packed with
+any other thresholds' rows from one pass over the distances; larger ones
+compute each new member's distances to the remaining candidates only.
+The scan may start from a mask, so one relation's rows scan any subset (a
+ball, say).  Exact packing builds one bitset relation per solve; exact
+cover search runs on given rows within a mask, with the scan as its upper
+bound and the separated bound as its lower: the first greedy part of the
+mask under the complement ``d > r + tol``, points no part holds two of.
+
+:func:`_ball_counts` is the one ball-count kernel: N_r(B(x, R)) for every
+x in a point set and every (R, r), for the estimate (the whole cloud) and
+the scaling check (a certificate's deepest level).  Private helpers take
+index arrays, and witnesses are reproducible across runs and platforms.
 """
 from __future__ import annotations
 
@@ -106,14 +109,6 @@ def _sweep_cover_counts(x: np.ndarray, r: float, lo: np.ndarray, hi: np.ndarray,
     return np.where(hi > lo, count, 0)
 
 
-def _ball_cover_counts_1d(x: np.ndarray, R: float, r: float, tol: float) -> np.ndarray:
-    """Sweep cover count at ``r`` of the closed ball B(x[i], R) within ``x``, for every i.
-
-    ``x`` is strictly increasing; the balls are those of :func:`fracdim.cloud._ball`.
-    """
-    return _sweep_cover_counts(x, r, *_cloud._ball_bounds(x, np.arange(x.size), R + tol), tol)
-
-
 def _sweep_pack(coords: np.ndarray, sep: float, tol: float) -> np.ndarray:
     """Positions of the leftmost-first sep-separated family, which is maximum, in non-empty,
     strictly increasing ``coords``; each is at least one past the last, even if sep <= tol."""
@@ -124,19 +119,21 @@ def _sweep_pack(coords: np.ndarray, sep: float, tol: float) -> np.ndarray:
     return np.asarray(chosen, dtype=np.int64)
 
 
-def _relation_rows(cloud: PointCloud, idx: np.ndarray, related) -> List[int]:
-    """Row t of a relation on the points ``idx`` as a Python integer whose bit u
-    is set when ``idx[t]`` and ``idx[u]`` are related.  ``related`` maps a
-    block of distances to a boolean block; rows are packed one block at a
-    time, so no m x m matrix is held, and no bit at or above m is set."""
-    rows = []
+def _relation_rows(cloud: PointCloud, idx: np.ndarray, *related) -> List[List[int]]:
+    """The rows of relations on the points ``idx``, one row list per function in
+    ``related``, which maps a block of distances to a boolean block: row t is a
+    Python integer whose bit u is set when ``idx[t]`` and ``idx[u]`` are related.
+    Every relation is packed from one pass over the blocks, so each distance
+    is computed once, no m x m matrix is held, and no bit at or above m is set."""
+    relations = [[] for _ in related]
     for _, block in cloud._blocks(idx):
-        packed = np.packbits(related(block), axis=1, bitorder="little")
-        width = packed.shape[1]
-        data = packed.tobytes()
-        rows.extend(int.from_bytes(data[t * width:(t + 1) * width], "little")
-                    for t in range(len(packed)))
-    return rows
+        for rows, relate in zip(relations, related):
+            packed = np.packbits(relate(block), axis=1, bitorder="little")
+            width = packed.shape[1]
+            data = packed.tobytes()
+            rows.extend(int.from_bytes(data[t * width:(t + 1) * width], "little")
+                        for t in range(len(packed)))
+    return relations
 
 
 def _scan(rows: List[int], uncovered: Optional[int] = None) -> Tuple[List[int], List[int]]:
@@ -171,7 +168,8 @@ def _greedy_parts(cloud: PointCloud, idx: np.ndarray, related) -> List[np.ndarra
     """
     if idx.size * idx.size > _cloud._DENSE_CAP:
         return _greedy_parts_by_candidates(cloud, idx, related)
-    members, ends = _scan(_relation_rows(cloud, idx, related))
+    [rows] = _relation_rows(cloud, idx, related)
+    members, ends = _scan(rows)
     flat = idx[members]
     return [flat[a:b] for a, b in zip(ends, ends[1:])]
 
@@ -206,10 +204,16 @@ def _greedy_pack_indices(cloud: PointCloud, idx: np.ndarray, sep: float,
     return np.sort((_greedy_parts(cloud, idx, lambda d: d >= sep - tol) or [idx])[0])
 
 
-def _separated_lower_bound(cloud: PointCloud, idx: np.ndarray, r: float,
-                           tol: float) -> np.ndarray:
-    """A family pairwise > r + tol apart: a valid lower-bound witness for N_r."""
-    return (_greedy_parts(cloud, idx, lambda d: d > r + tol) or [idx])[0]
+def _separated_lower_bound(rows: List[int], mask: int) -> int:
+    """The first greedy part of ``mask`` under the complement of bitset ``rows``,
+    as a bitset: positions pairwise unrelated, which no part related pairwise
+    under ``rows`` holds two of, so its size bounds the cover count below."""
+    family = 0
+    while mask:
+        low = mask & -mask
+        family |= low
+        mask = (mask ^ low) & ~rows[low.bit_length() - 1]
+    return family
 
 
 def _min_clique_cover(rows: List[int], mask: int) -> List[int]:
@@ -219,14 +223,12 @@ def _min_clique_cover(rows: List[int], mask: int) -> List[int]:
     Vertices, the positions in increasing order, are assigned to an existing
     compatible part or a fresh one; a fixed exploration order keeps the
     witness deterministic.  The greedy scan of ``mask`` is the first upper
-    bound; the first greedy part of the complement relation is a separated
-    lower bound."""
+    bound; :func:`_separated_lower_bound` is the lower bound."""
     if not mask:
         return []
     members, ends = _scan(rows, mask)
     verts = sorted(members)     # the scan covers every position in mask
     best = [sum(1 << t for t in members[a:b]) for a, b in zip(ends, ends[1:])]
-    _, far_ends = _scan({v: mask & ~rows[v] for v in verts}, mask)
 
     parts: List[int] = []
 
@@ -250,15 +252,46 @@ def _min_clique_cover(rows: List[int], mask: int) -> List[int]:
             dfs(i + 1)
             parts.pop()
 
-    if len(best) > far_ends[1]:     # else greedy meets the lower bound
+    if len(best) > _separated_lower_bound(rows, mask).bit_count():   # else greedy meets it
         dfs(0)
     return best
+
+
+def _ball_counts(cloud: PointCloud, idx: np.ndarray, pairs: List[Tuple[float, float]],
+                 tol: float, count) -> np.ndarray:
+    """Entry (t, p) counts at r the points of ``idx`` within R + tol of ``idx[t]``,
+    for ``pairs[p] = (R, r)``, computed center by center, then pair by pair.
+
+    1-D clouds take the doubling table over ``idx`` in coordinate order, so
+    every count is exact and ``count`` is not called.  Elsewhere each
+    distinct scale s gets one relation ``d <= s + tol`` on ``idx`` (the
+    comparison of :func:`fracdim.cloud._ball`), and an entry is
+    ``count(relation[r], relation[R][t])``: the ball is a position mask.
+    """
+    counts = np.empty((idx.size, len(pairs)), dtype=np.int64)
+    if not pairs:
+        return counts
+    if cloud.dim == 1:
+        line = _by_coordinate(cloud, idx)
+        x, at = cloud.coords[line, 0], np.arange(line.size)
+        rank = np.empty(cloud.n, dtype=np.int64)
+        rank[line] = at
+        for p, (R, r) in enumerate(pairs):
+            counts[:, p] = _sweep_cover_counts(
+                x, r, *_cloud._ball_bounds(x, at, R + tol), tol)[rank[idx]]
+        return counts
+    scales = sorted({s for pair in pairs for s in pair})
+    relation = dict(zip(scales, _relation_rows(
+        cloud, idx, *[lambda d, s=s: d <= s + tol for s in scales])))
+    for t in range(idx.size):
+        counts[t] = [count(relation[r], relation[R][t]) for R, r in pairs]
+    return counts
 
 
 def _bb_min_clique_cover(cloud: PointCloud, idx: np.ndarray, r: float,
                          tol: float) -> List[np.ndarray]:
     """Exact minimum partition of ``idx`` into diameter-<=r parts: :func:`_min_clique_cover`."""
-    rows = _relation_rows(cloud, idx, lambda d: d <= r + tol)
+    [rows] = _relation_rows(cloud, idx, lambda d: d <= r + tol)
     return [idx[[u for u in range(idx.size) if part >> u & 1]]
             for part in _min_clique_cover(rows, (1 << idx.size) - 1)]
 
@@ -267,7 +300,7 @@ def _bb_max_separated(cloud: PointCloud, idx: np.ndarray, sep: float,
                       tol: float) -> np.ndarray:
     """Exact maximum family in ``idx`` with pairwise distance >= sep, branch-and-bound."""
     m = idx.size
-    rows = _relation_rows(cloud, idx, lambda d: d >= sep - tol)
+    [rows] = _relation_rows(cloud, idx, lambda d: d >= sep - tol)
     best, best_size = 0, 0      # the largest family so far, as a bitset
 
     def dfs(v: int, chosen: int, size: int) -> None:

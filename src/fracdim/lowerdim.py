@@ -7,14 +7,14 @@ minimum of per-scale exponents rather than a regression fit, matching the
 true lower dimension 0, so every report carries its window explicitly and
 must be read as a scale-window quantity.
 
-On 1-D coordinate clouds (both metrics are |x - y| there) every center's
-count at one scale pair comes from the covering sweep's doubling table in
-O(n log n), with no witness parts built.  On other clouds, both modes read
-one whole-cloud bitset relation per grid scale s, ``d <= s + tol``: row x
-of the relation at R is the ball B(x, R) as a mask, and the row's count is
-that of the one greedy scan, or of the exact cover solver, on the relation
-at r within that mask, so no distance matrix is built.  The table stays in
-columns, as (centers x pairs) arrays, up to the output text.
+Every count N_r(B(x, R)) comes from the one ball-count kernel,
+:func:`fracdim.covering._ball_counts`, over the whole cloud.  On 1-D
+coordinate clouds (both metrics are |x - y| there) it takes the covering
+sweep's doubling table, so both modes get exact counts with no witness parts
+built.  On other clouds it hands this module's ``count`` the relation at r
+and the ball B(x, R) as a mask, and ``count`` is the one greedy scan or the
+exact cover solver within that mask, so no distance matrix is built.  The
+table stays in columns, as (centers x pairs) arrays, up to the output text.
 """
 from __future__ import annotations
 
@@ -26,8 +26,7 @@ import numpy as np
 
 from .cloud import PointCloud
 from .config import DEFAULT_BUDGET, DEFAULT_EXACT_CUTOFF, DEFAULT_TOL, Records
-from .covering import (_ball_cover_counts_1d, _min_clique_cover, _refuse_above_cutoff,
-                       _relation_rows, _scan)
+from .covering import _ball_counts, _min_clique_cover, _refuse_above_cutoff, _scan
 from .regular import RegularFamily, SearchResult, search_regular
 
 SEMANTICS_NOTE = "scale-window estimate on a finite sample, not a limit quantity"
@@ -133,15 +132,21 @@ def lower_dim_estimate(cloud: PointCloud, window: ScaleWindow, mode: str = "exac
 
     Returns 0 with an empty table when no grid pair fits below the cloud
     diameter (the empty-set convention).  Greedy covering counts are upper
-    bounds on N_r, so greedy mode can only raise the estimate.
+    bounds on N_r, so greedy mode can only raise the estimate.  1-D counts
+    are exact in both modes.  Exact mode refuses the first ball, in table
+    order, above the cutoff.
     """
     if mode not in ("exact", "greedy"):
         raise ValueError(f"unknown mode {mode!r}")
     pairs = window.pairs(diam_cap=cloud.diam(), tol=tol)
-    if cloud.dim == 1:
-        counts = _counts_1d(cloud, pairs, tol)
-    else:
-        counts = np.asarray(_counts_generic(cloud, pairs, mode, tol, exact_cutoff), np.int64)
+
+    def count(rows: List[int], ball: int) -> int:
+        if mode == "greedy":
+            return len(_scan(rows, ball)[1]) - 1
+        _refuse_above_cutoff("covering", ball.bit_count(), exact_cutoff)
+        return len(_min_clique_cover(rows, ball))
+
+    counts = _ball_counts(cloud, np.arange(cloud.n), pairs, tol, count)
     exponents = np.empty(counts.shape)
     for p, (R, r) in enumerate(pairs):   # one log per distinct count at each pair
         distinct, at = np.unique(counts[:, p], return_inverse=True)
@@ -151,43 +156,6 @@ def lower_dim_estimate(cloud: PointCloud, window: ScaleWindow, mode: str = "exac
     center, p = divmod(int(np.argmin(exponents)), len(pairs))   # row-major: the first minimum
     return EstimateReport(float(exponents[center, p]), (center, *pairs[p]), pairs, counts,
                           exponents, window, mode)
-
-
-def _counts_1d(cloud: PointCloud, pairs: List[Tuple[float, float]],
-               tol: float) -> np.ndarray:
-    """Exact N_r(B(x, R)) per center (in cloud order) and pair, on a 1-D cloud.
-
-    The 1-D sweep is optimal at any size, so both modes get exact counts.
-    """
-    counts = np.empty((cloud.n, len(pairs)), dtype=np.int64)
-    for p, (R, r) in enumerate(pairs):
-        counts[cloud._order, p] = _ball_cover_counts_1d(cloud._line, R, r, tol)
-    return counts
-
-
-def _counts_generic(cloud: PointCloud, pairs: List[Tuple[float, float]], mode: str,
-                    tol: float, exact_cutoff: int) -> List[List[int]]:
-    """N_r(B(x, R)) per center and pair, on a cloud that is not 1-D.
-
-    Both modes read one relation per distinct scale s (see the module
-    docstring).  Its row x compares the cloud's distances from x with
-    ``s + tol``, the comparison of the one ball rule,
-    :func:`fracdim.cloud._ball`.  Bit order is index order, and ball indices
-    are sorted, so each count is that of the greedy or exact cover of the
-    ball.  Exact mode refuses the first ball, in table order, above the cutoff.
-    """
-    everything = np.arange(cloud.n, dtype=np.int64)
-    relation = {s: _relation_rows(cloud, everything, lambda d, s=s: d <= s + tol)
-                for s in {s for pair in pairs for s in pair}}
-
-    def count(rows: List[int], ball: int) -> int:
-        if mode == "greedy":
-            return len(_scan(rows, ball)[1]) - 1
-        _refuse_above_cutoff("covering", ball.bit_count(), exact_cutoff)
-        return len(_min_clique_cover(rows, ball))
-
-    return [[count(relation[r], relation[R][center]) for R, r in pairs]
-            for center in range(cloud.n)]
 
 
 def dimension_bound(k: int, l: int) -> float:

@@ -29,7 +29,7 @@ import numpy as np
 from .cloud import PointCloud, Subset, _ball
 from .config import (_JSON_CHECKS, DEFAULT_BUDGET, DEFAULT_EXACT_CUTOFF, DEFAULT_TOL,
                      _checked_object)
-from .covering import (_ball_cover_counts_1d, _bb_min_clique_cover, _greedy_cover_parts,
+from .covering import (_ball_counts, _greedy_cover_parts, _min_clique_cover,
                        _separated_lower_bound, _sweep_pack)
 
 Label = Tuple[int, ...]
@@ -379,15 +379,6 @@ def level_points(family: RegularFamily, n: int, cloud: PointCloud) -> Subset:
     return Subset(cloud, idx)
 
 
-def _cover_count_lower_bound(cloud: PointCloud, idx: np.ndarray, r: float, tol: float,
-                             exact_cutoff: int) -> int:
-    """A certified lower bound on the covering number of the points ``idx`` at ``r``."""
-    if idx.size <= exact_cutoff:
-        return len(_bb_min_clique_cover(cloud, idx, r, tol))
-    # Points pairwise farther than r + tol must land in distinct parts.
-    return int(_separated_lower_bound(cloud, idx, r, tol).size)
-
-
 def certificate_scaling_check(cloud: PointCloud, family: RegularFamily,
                               tol: float = DEFAULT_TOL,
                               exact_cutoff: int = DEFAULT_EXACT_CUTOFF) -> bool:
@@ -397,13 +388,12 @@ def certificate_scaling_check(cloud: PointCloud, family: RegularFamily,
     (n >= 1, m >= 0) with n + m + 1 <= depth, the ball B(x, R) must need at
     least l^m parts of diameter r to cover its deepest-level points.  Each
     bracket is probed at its two representable extremes; counts are
-    lower-bounded by certified quantities only, never by greedy covers.
-    On 1-D clouds a ball meets the deepest level, sorted once by coordinate,
-    in a contiguous run, so every probe's exact count comes from the
-    covering sweep's doubling table.  Other clouds read each deepest-level
-    point's distance row to the deepest level once, streamed a block at a
-    time, and take every probe's ball from it; its entries equal
-    ``distances_from``'s bit for bit.
+    lower-bounded by certified quantities only, never by greedy covers:
+    the exact count within ``exact_cutoff`` points, a separated family's
+    size above it.  Every count comes from the ball-count kernel,
+    :func:`fracdim.covering._ball_counts`, over the deepest level: on 1-D
+    clouds the covering sweep's doubling table (exact), on other clouds one
+    relation per probe scale over the deepest level.
     """
     report = verify_regular(cloud, family, tol)
     if not report.ok:
@@ -414,11 +404,12 @@ def certificate_scaling_check(cloud: PointCloud, family: RegularFamily,
               for R, r in ((2.0 ** (-k * n + 2), 2.0 ** (-k * (n + m))),     # hard corner
                            (2.0 ** (-k * (n - 1) + 1),                       # outer corner
                             2.0 ** (-k * (n + m + 1) + 1)))]
-    if cloud.dim == 1:
-        x = np.sort(cloud.coords[deepest, 0])
-        return all(int(_ball_cover_counts_1d(x, R, r, tol).min()) >= needed
-                   for R, r, needed in probes)
-    return all(_cover_count_lower_bound(cloud, deepest[row <= R + tol], r, tol,
-                                        exact_cutoff) >= needed
-               for _, block in cloud._blocks(deepest) for row in block
-               for R, r, needed in probes)
+
+    def certified(rows: List[int], ball: int) -> int:
+        if ball.bit_count() <= exact_cutoff:
+            return len(_min_clique_cover(rows, ball))
+        # Points pairwise farther than r + tol must land in distinct parts.
+        return _separated_lower_bound(rows, ball).bit_count()
+
+    counts = _ball_counts(cloud, deepest, [(R, r) for R, r, _ in probes], tol, certified)
+    return all(counts[:, p].min() >= needed for p, (_, _, needed) in enumerate(probes))

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from fracdim import PointCloud, io
-from fracdim.cli import main
+from fracdim.cli import entry, main
 
 
 def run_cli(capsys, *argv):
@@ -541,6 +541,20 @@ class TestDeterminismAndEntryPoint:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["points"] == 8
+
+    @pytest.mark.parametrize("argv, code", [
+        (["generate", "cantor", "--level", "3", "--out", "c.json"], 0),
+        (["info", "absent.json"], 5),   # an I/O error
+    ])
+    def test_console_script_entry(self, monkeypatch, capsys, tmp_path, argv, code):
+        # the function the packaged ``fracdim`` script runs: main's code as the exit status
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(sys, "argv", ["fracdim", *argv])
+        with pytest.raises(SystemExit) as exit_info:
+            entry()
+        assert exit_info.value.code == code
+        out = capsys.readouterr().out
+        assert (json.loads(out)["points"] == 8) if code == 0 else out == ""
 
     def test_malformed_json_is_io_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

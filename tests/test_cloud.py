@@ -231,7 +231,21 @@ class TestConstruction:
         with pytest.raises(ValueError, match="triangle"):
             PointCloud.from_matrix(dmat)
 
-    def test_matrix_sampled_above_limit(self):
+    def test_matrix_triangle_exhaustive_600(self):
+        # one broken pair among 600 points: sampled triples almost never meet it
+        rng = np.random.default_rng(5)
+        pts = rng.uniform(size=(600, 2))
+        diff = pts[:, None] - pts[None, :]
+        dmat = np.sqrt((diff ** 2).sum(axis=2))
+        np.fill_diagonal(dmat, 0.0)
+        dmat = np.minimum(dmat, dmat.T)
+        dmat[0, 1] += 5.0
+        dmat[1, 0] += 5.0
+        with pytest.raises(ValueError, match=r"^triangle inequality violated$"):
+            PointCloud.from_matrix(dmat)
+
+    def test_matrix_sampled_above_limit(self, monkeypatch):
+        monkeypatch.setattr(cloud_module, "_TRIANGLE_EXHAUSTIVE_LIMIT", 599)
         rng = np.random.default_rng(4)
         pts = rng.uniform(size=(600, 1))
         dmat = np.abs(pts - pts.T)
@@ -239,7 +253,8 @@ class TestConstruction:
         dmat = np.minimum(dmat, dmat.T)
         assert PointCloud.from_matrix(dmat).n == 600
 
-    def test_matrix_sampled_check_refuses(self):
+    def test_matrix_sampled_check_refuses(self, monkeypatch):
+        monkeypatch.setattr(cloud_module, "_TRIANGLE_EXHAUSTIVE_LIMIT", 599)
         # point 0 sits within 0.001 of every other point of a line of 600
         x = np.arange(600.0)
         dmat = np.abs(x[:, None] - x[None, :])

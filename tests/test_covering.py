@@ -12,7 +12,7 @@ from fracdim import (PointCloud, RegularFamily, ScaleWindow, Subset, cantor_clou
                      hausdorff_distance, lower_dim_estimate, maximal_separated_family,
                      packing_number, search_regular, validate_cover, validate_packing,
                      verify_regular)
-from fracdim.covering import (CoverResult, PackResult, _bb_max_separated,
+from fracdim.covering import (CoverResult, PackResult, _ball_counts, _bb_max_separated,
                               _bb_min_clique_cover, _greedy_cover_parts, _greedy_pack_indices,
                               _min_clique_cover, _relation_rows, _separated_lower_bound,
                               _sweep_cover_counts, _sweep_cover_parts)
@@ -274,9 +274,17 @@ class TestGreedyCoverParts:
         assert cloud.dense() is None
 
 
+def _separated_family(cloud, idx, radius):
+    """:func:`_separated_lower_bound` of all of ``idx`` on its relation at ``radius``,
+    as an index list."""
+    [rows] = _relation_rows(cloud, idx, lambda d: d <= radius + TOL)
+    family = _separated_lower_bound(rows, (1 << idx.size) - 1)
+    return [int(i) for u, i in enumerate(idx) if family >> u & 1]
+
+
 def _separated_scans(cloud, idx, radius, seed_pos):
     """Every family the greedy scan gives at ``radius``, as index lists."""
-    out = {"separated": _separated_lower_bound(cloud, idx, radius, TOL).tolist(),
+    out = {"separated": _separated_family(cloud, idx, radius),
            "pack": _greedy_pack_indices(cloud, idx, radius, TOL).tolist(),
            "packing_number": packing_number(Subset(cloud, idx), radius).witnesses.indices.tolist()}
     if seed_pos is not None:
@@ -354,7 +362,7 @@ class TestGreedySeparatedFamilies:
             monkeypatch.setattr(cloud_module, "_DENSE_CAP", cap)
         cloud = PointCloud([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
         empty = np.empty(0, dtype=np.int64)
-        assert _separated_lower_bound(cloud, empty, 0.5, TOL).tolist() == []
+        assert _separated_family(cloud, empty, 0.5) == []
         assert _greedy_pack_indices(cloud, empty, 0.5, TOL).tolist() == []
         one = np.array([2])
         assert _separated_scans(cloud, one, 0.5, 0) == {
@@ -414,7 +422,7 @@ class TestBitsetExactSolvers:
             keep = data.draw(st.lists(st.sampled_from(range(len(cells))), unique=True))
         cloud, idx, _ = _grid_instance(cells, metric, keep)
         r = steps / 8.0
-        rows = _relation_rows(cloud, np.arange(cloud.n), lambda d: d <= r + TOL)
+        [rows] = _relation_rows(cloud, np.arange(cloud.n), lambda d: d <= r + TOL)
         parts = _min_clique_cover(rows, sum(1 << int(i) for i in idx))
         assert [[u for u in range(cloud.n) if part >> u & 1] for part in parts] \
             == [p.tolist() for p in _bb_min_clique_cover(cloud, idx, r, TOL)]
@@ -447,9 +455,88 @@ class TestBitsetExactSolvers:
         cloud, idx, dmat = _grid_instance(cells, "euclidean", keep)
         r = steps / 8.0
         assert len(_greedy_cover_parts(cloud, idx, r, TOL)) == greedy
-        assert len(_separated_lower_bound(cloud, idx, r, TOL)) == bound
+        assert len(_separated_family(cloud, idx, r)) == bound
         assert len(_bb_min_clique_cover(cloud, idx, r, TOL)) == exact
         assert _exact_solves(cloud, idx, r) == _exact_oracles(dmat, idx, r)
+
+
+def _no_count(rows, ball):
+    raise AssertionError("count called on a 1-D cloud")
+
+
+def _exact_count(rows, ball):
+    return len(_min_clique_cover(rows, ball))
+
+
+def _separated_count(rows, ball):
+    return _separated_lower_bound(rows, ball).bit_count()
+
+
+_PAIRS = st.lists(st.tuples(st.integers(1, 12), st.integers(1, 12)), max_size=3)
+
+
+class TestBallCounts:
+    """The ball-count kernel on a subset ``idx`` of the cloud, in any order,
+    against oracles on each ball B(idx[t], R) within ``idx``."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.integers(0, 255), min_size=1, max_size=24, unique=True), _PAIRS,
+           st.data())
+    @example(list(range(20, 0, -2)), [(2, 1), (4, 2)], None)   # descending, gaps equal to r
+    def test_1d_permuted_storage(self, slots, steps, data):
+        # storage order is the drawn order; multiples of 2^-6 keep every sum exact
+        coords = np.asarray(slots, dtype=float)[:, None] / 64.0
+        cloud = PointCloud(coords)
+        keep = (range(len(slots)) if data is None else
+                data.draw(st.lists(st.sampled_from(range(len(slots))), min_size=1, unique=True)))
+        idx = np.asarray(keep, dtype=np.int64)
+        pairs = [(R / 64.0, r / 64.0) for R, r in steps]
+        counts = _ball_counts(cloud, idx, pairs, TOL, _no_count)
+        assert counts.shape == (idx.size, len(pairs)) and counts.dtype == np.int64
+        for t, i in enumerate(idx):
+            row = distance_row_oracle(coords, i, "euclidean")[idx]
+            for p, (R, r) in enumerate(pairs):
+                ball = coords[idx[row <= R + TOL], 0]
+                assert counts[t, p] == certified_cover_count_1d(ball, r)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.integers(0, 15 * 16 + 15), min_size=1, max_size=14, unique=True),
+           st.sampled_from(["euclidean", "l1", "matrix"]), _PAIRS, st.data())
+    @example([0, 3, 4, 64, 67], "euclidean", [(5, 5), (10, 1)], None)   # distances exactly r
+    def test_generic(self, cells, metric, steps, data):
+        # the dyadic 16 x 16 grid of spacing 1/8; a matrix cloud holds its euclidean distances
+        coords = np.array([[c // 16, c % 16] for c in cells], dtype=float) / 8.0
+        dmat = np.stack([distance_row_oracle(coords, i, metric if metric == "l1" else "euclidean")
+                         for i in range(len(cells))])
+        cloud = (PointCloud.from_matrix(dmat) if metric == "matrix"
+                 else PointCloud(coords, metric=metric))
+        keep = (range(len(cells)) if data is None else
+                data.draw(st.lists(st.sampled_from(range(len(cells))), min_size=1, unique=True)))
+        idx = np.asarray(keep, dtype=np.int64)
+        pairs = [(R / 8.0, r / 8.0) for R, r in steps]
+        expected = {_exact_count: np.zeros((idx.size, len(pairs)), dtype=np.int64),
+                    _separated_count: np.zeros((idx.size, len(pairs)), dtype=np.int64)}
+        for t, i in enumerate(idx):
+            for p, (R, r) in enumerate(pairs):
+                ball = idx[dmat[i, idx] <= R + TOL]   # positions in idx order
+                sub = dmat[np.ix_(ball, ball)]
+                expected[_exact_count][t, p] = exact_cover_oracle(sub, r)
+                expected[_separated_count][t, p] = len(separated_family_oracle(sub, r, TOL))
+        for count, want in expected.items():
+            assert _ball_counts(cloud, idx, pairs, TOL, count).tolist() == want.tolist()
+            with mock.patch.object(cloud_module, "_BLOCK_ELEMENTS", 8):   # one row per block
+                assert _ball_counts(cloud, idx, pairs, TOL, count).tolist() == want.tolist()
+
+    def test_distances_within_tol_of_the_scale(self):
+        # 0.1 + 0.2 is an ulp above 0.3, and 1 + tol/2 above 1: both are in the
+        # ball at R and in one part at r
+        line = PointCloud([[0.1 + 0.2], [0.0], [1.0]])
+        assert _ball_counts(line, np.arange(3), [(0.3, 0.1), (0.3, 0.3)], TOL,
+                            _no_count).tolist() == [[2, 1], [2, 1], [1, 1]]
+        dmat = np.array([[0.0, 1 + TOL / 2, 3.0], [1 + TOL / 2, 0.0, 3.0], [3.0, 3.0, 0.0]])
+        matrix = PointCloud.from_matrix(dmat)
+        assert _ball_counts(matrix, np.arange(3), [(1.0, 0.5), (1.0, 1.0)], TOL,
+                            _exact_count).tolist() == [[2, 1], [2, 1], [1, 1]]
 
 
 class TestProperties:

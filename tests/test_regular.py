@@ -273,29 +273,39 @@ class TestScalingCheck:
     @pytest.mark.parametrize("block", [None, 2 * 16 * 62])
     def test_counts_every_ball(self, monkeypatch, block):
         # every deepest-level point's ball at every probe is counted exactly
-        # once, cut from that point's distance row (one or several blocks)
+        # once, on the deepest level's relation at the probe's r (its rows
+        # packed from one or several blocks); the 16-point level keeps every
+        # ball within the cutoff, so each count is an exact solve
         cloud = embed_tree(FiniteTree.full_tree(4, 2))
         fam = search_regular(cloud, 2, 2, 4).family
         if block is not None:
             monkeypatch.setattr(cloud_module, "_BLOCK_ELEMENTS", block)
-        counted = []
-        count = regular_module._cover_count_lower_bound
-
-        def spy(cloud, idx, r, tol, cutoff):
-            counted.append((idx.tolist(), r))
-            return count(cloud, idx, r, tol, cutoff)
-
-        monkeypatch.setattr(regular_module, "_cover_count_lower_bound", spy)
-        assert certificate_scaling_check(cloud, fam) is True
         deepest = level_points(fam, 4, cloud).indices
+        dmat = np.stack([distance_row_oracle(cloud.coords, x, "l1")[deepest] for x in deepest])
+
+        def relation(r):
+            """The oracle relation d <= r + tol on the deepest level, as bitset rows."""
+            return tuple(sum(1 << int(u) for u in np.flatnonzero(row <= r + TOL))
+                         for row in dmat)
+
+        counted = []
+        solve = regular_module._min_clique_cover
+
+        def spy(rows, ball):
+            counted.append((deepest[[u for u in range(deepest.size) if ball >> u & 1]].tolist(),
+                            tuple(rows)))
+            return solve(rows, ball)
+
+        monkeypatch.setattr(regular_module, "_min_clique_cover", spy)
+        assert certificate_scaling_check(cloud, fam) is True
+        # a probe's r is known by its relation (two radii may share one)
         expected = []
-        for x in deepest:
-            row = distance_row_oracle(cloud.coords, x, "l1")[deepest]
+        for t in range(deepest.size):
             for n in range(1, 4):
                 for m in range(4 - n):
                     for R, r in ((2.0 ** (-2 * n + 2), 2.0 ** (-2 * (n + m))),
                                  (2.0 ** (-2 * (n - 1) + 1), 2.0 ** (-2 * (n + m + 1) + 1))):
-                        expected.append((deepest[row <= R + TOL].tolist(), r))
+                        expected.append((deepest[dmat[t] <= R + TOL].tolist(), relation(r)))
         assert sorted(counted) == sorted(expected)
 
     def test_unverified_family_refused(self, grid11):
@@ -348,7 +358,8 @@ class TestUnsorted1DSearch:
         def spy(*args):
             raise AssertionError("generic cover count called on a 1-D cloud")
 
-        monkeypatch.setattr(regular_module, "_cover_count_lower_bound", spy)
+        monkeypatch.setattr(regular_module, "_min_clique_cover", spy)
+        monkeypatch.setattr(regular_module, "_separated_lower_bound", spy)
         assert certificate_scaling_check(permuted, permuted_fam) is expected is True
 
 
