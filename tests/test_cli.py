@@ -1,11 +1,13 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
 from fracdim import PointCloud, io
-from fracdim.cli import entry, main
+from fracdim.__main__ import run
+from fracdim.cli import main
 
 
 def run_cli(capsys, *argv):
@@ -542,6 +544,34 @@ class TestDeterminismAndEntryPoint:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["points"] == 8
 
+    @pytest.mark.parametrize("preset", [None, "2"])
+    def test_cli_start_caps_blas_threads(self, tmp_path, preset):
+        # `python -m fracdim` sets OPENBLAS_NUM_THREADS=1 before numpy loads, so
+        # the process runs one thread; a value the user has set wins
+        cloud_path = tmp_path / "c.json"
+        cloud_path.write_text('{"metric": "euclidean", "points": [0, 1, 3]}')
+        script = (
+            "import json, os, runpy, sys\n"
+            f"sys.argv = ['fracdim', 'info', {str(cloud_path)!r}]\n"
+            "try:\n"
+            "    runpy.run_module('fracdim', run_name='__main__')\n"
+            "except SystemExit as stop:\n"
+            "    code = stop.code\n"
+            "tasks = os.listdir('/proc/self/task') if os.path.isdir('/proc/self/task') else None\n"
+            "print(json.dumps([code, tasks and len(tasks), os.environ.get('OPENBLAS_NUM_THREADS')]))\n")
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        code, threads, blas = json.loads(proc.stdout.splitlines()[-1])
+        assert code == 0
+        assert blas == (preset or "1")
+        if preset is None and threads is not None:
+            assert threads == 1
+
     @pytest.mark.parametrize("argv, code", [
         (["generate", "cantor", "--level", "3", "--out", "c.json"], 0),
         (["info", "absent.json"], 5),   # an I/O error
@@ -550,8 +580,9 @@ class TestDeterminismAndEntryPoint:
         # the function the packaged ``fracdim`` script runs: main's code as the exit status
         monkeypatch.chdir(tmp_path)
         monkeypatch.setattr(sys, "argv", ["fracdim", *argv])
+        monkeypatch.setattr(os, "environ", dict(os.environ))   # run() sets BLAS variables
         with pytest.raises(SystemExit) as exit_info:
-            entry()
+            run()
         assert exit_info.value.code == code
         out = capsys.readouterr().out
         assert (json.loads(out)["points"] == 8) if code == 0 else out == ""
