@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional
 
@@ -97,7 +98,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(obj) -> None:
-    sys.stdout.write(io.dumps_canonical(obj, indent=2) + "\n")
+    io.dump_canonical(obj, sys.stdout, indent=2)
+    # a last write and a flush of their own: bytes that a closed reader
+    # refused raise here, within main, even where stdout is unbuffered
+    sys.stdout.write("\n")
+    sys.stdout.flush()
 
 
 def _cmd_generate(args, cfg: RunConfig) -> int:
@@ -215,5 +220,12 @@ def main(argv: Optional[list] = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError:
+        # main has reported the closed reader; drop the bytes still buffered,
+        # or Python's own flush at exit fails again and exits 120
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 

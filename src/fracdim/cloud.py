@@ -271,8 +271,8 @@ def _validated_coords(points) -> np.ndarray:
         raise ValueError("points must form a non-empty 2-D array")
     if not np.all(np.isfinite(arr)):
         raise ValueError("points must be finite")
-    uniq = np.unique(arr, axis=0)
-    if uniq.shape[0] != arr.shape[0]:
+    ordered = arr[np.lexsort(arr.T)]   # equal rows, 0.0 and -0.0 alike, end up adjacent
+    if np.any(np.all(ordered[1:] == ordered[:-1], axis=1)):
         raise ValueError("duplicate points rejected (zero pairwise distance)")
     return arr
 

@@ -1,19 +1,24 @@
 """File formats and canonical serialization.
 
-All JSON written by this package goes through :func:`dumps_canonical`,
-which preserves key order and renders every float in one canonical form:
-integer-valued floats below 1e16 as ``x.0``, all others with 17
-significant digits, non-finite values rejected.  Identical runs therefore
-produce byte-identical artifacts.  The ``estimate --csv`` table uses the
-same float text.
+All JSON written by this package goes through one encoder, which preserves
+key order and renders every float in one canonical form: integer-valued
+floats below 1e16 as ``x.0``, all others with 17 significant digits,
+non-finite values rejected.  Identical runs therefore produce byte-identical
+artifacts.  The ``estimate --csv`` table uses the same float text.
 
 Each call formats a distinct float once (``_float_format``).  A
 :class:`fracdim.config.Records` (the estimate table) is written as the
-list of dicts it stands for, column by column: an array column's distinct
-values are formatted once, and all rows are built in one join.  The
-encoder this replaced, which recursed through ``dumps_canonical`` once per
-value, is kept in ``tests/oracles.py``; the tests require byte-identical
-output and the same exception types on random nested documents.
+list of dicts it stands for, column by column.  There is one encoder, and
+every step of it that can fail (type dispatch, the non-finite refusal) runs
+before the first character is written.  What it defers cannot fail: the
+text of a Records' int and float array columns, each distinct value of a
+block formatted once, and the joining of its rows, ``_BLOCK`` rows at a
+time.  :func:`dump_canonical` writes those blocks to a file object, so a
+report's text is never held whole; :func:`dumps_canonical` joins the same
+pieces into one string.  The encoder before the columnar one, which
+recursed once per value, is kept in ``tests/oracles.py``; the tests require
+byte-identical output and the same exception types on random nested
+documents.
 """
 from __future__ import annotations
 
@@ -22,7 +27,7 @@ import json
 import math
 import re
 import sys
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from typing import List, Optional
 
@@ -34,13 +39,19 @@ from .lowerdim import EstimateReport
 from .regular import RegularFamily
 from .trees import FiniteTree
 
+# rows of a Records joined into one string at a time
+_BLOCK = 4096
+# where a Records' rows go in the encoder's text; _quote escapes every NUL
+_HOLE = "\0"
+_NON_FINITE = "cannot serialize non-finite float"
+
 # a plain decimal number: no digit separators, inf, nan or non-ASCII digits
 _CSV_NUMBER = re.compile(r"\s*[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?\s*")
 
 
 def _fmt_float(x: float) -> str:
     if not math.isfinite(x):
-        raise ValueError("cannot serialize non-finite float")
+        raise ValueError(_NON_FINITE)
     if x == int(x) and abs(x) < 1e16:
         return f"{x:.1f}"
     return format(x, ".17g")
@@ -61,12 +72,20 @@ def _float_format():
     return fmt
 
 
+def _blocks(pieces: list):
+    """The rows ``zip(*pieces)`` yields, ``_BLOCK`` rows joined to each string."""
+    rows = zip(*pieces)
+    while block := "".join(chain.from_iterable(islice(rows, _BLOCK))):
+        yield block
+
+
 class _Encoder:
-    """One ``dumps_canonical`` call: its indent and its float cache."""
+    """One document: its indent, its float cache and its Records' deferred rows."""
 
     def __init__(self, indent: int):
         self.indent = indent
         self.float = _float_format()
+        self.bodies = []   # row blocks of each Records, in the order of their holes
 
     def layout(self, level: int) -> tuple:
         """(after the open bracket, between items, before the close bracket)."""
@@ -120,39 +139,71 @@ class _Encoder:
         return "{" + first + sep.join(items) + last + "}"
 
     def records(self, rec: Records, level: int) -> str:
-        """``rec`` as its list of dicts: each column's texts, then every row in one join."""
-        texts = [self.column(column, level + 2) for column in rec.columns]
-        if not texts[0]:
+        """``rec`` as its list of dicts: its columns checked now, its rows as a
+        hole whose row blocks go to ``bodies``."""
+        if not len(rec.columns[0]):
             return "[]"
+        texts = [self.column(column, level + 2) for column in rec.columns]
         first, sep, last = self.layout(level)
         row_first, row_sep, row_last = self.layout(level + 1)
         heads = [_quote(str(k)) + ": " for k in rec.keys]
-        glue = [sep + "{" + row_first + heads[0]] + [row_sep + h for h in heads[1:]]
-        pieces = [x for g, column in zip(glue, texts) for x in (repeat(g), column)]
-        body = "".join(chain.from_iterable(zip(*pieces, repeat(row_last + "}"))))
-        return "[" + first + body[len(sep):] + last + "]"
+        opening = "{" + row_first + heads[0]
+        glue = [chain([opening], repeat(sep + opening))] + [repeat(row_sep + h) for h in heads[1:]]
+        blocks = _blocks([x for g, column in zip(glue, texts) for x in (g, column)]
+                         + [repeat(row_last + "}")])
+        if self.bodies is None:   # inside another Records' row
+            return "[" + first + "".join(blocks) + last + "]"
+        self.bodies.append(blocks)
+        return "[" + first + _HOLE + last + "]"
 
-    def column(self, values, level: int) -> list:
-        """Each value's text; a 1-D int or float array formats each distinct value once."""
+    def column(self, values, level: int):
+        """Each value's text, in order.  A 1-D int or float array is checked
+        now and formatted later, ``_BLOCK`` values at a time."""
         kind = values.dtype.kind if isinstance(values, np.ndarray) and values.ndim == 1 else ""
-        if kind == "f":   # by bit pattern, so that 0.0 and -0.0 stay apart
+        if kind not in ("f", "i", "u"):   # a Records among the values is joined within its row
+            bodies, self.bodies = self.bodies, None
+            texts = [self.encode(x, level) for x in values]
+            self.bodies = bodies
+            return texts
+        if kind == "f" and not np.isfinite(values).all():
+            raise ValueError(_NON_FINITE)
+        return chain.from_iterable(self.array_texts(values[start:start + _BLOCK])
+                                   for start in range(0, len(values), _BLOCK))
+
+    def array_texts(self, values: np.ndarray) -> list:
+        """The texts of a finite int or float array, each distinct value formatted once."""
+        if values.dtype.kind == "f":   # by bit pattern, so that 0.0 and -0.0 stay apart
             distinct, at = np.unique(values.astype(np.float64).view(np.int64), return_inverse=True)
             texts = [self.float(x) for x in distinct.view(np.float64).tolist()]
-        elif kind in ("i", "u"):
+        else:
             distinct, at = np.unique(values, return_inverse=True)
             texts = [str(x) for x in distinct.tolist()]
-        else:
-            return [self.encode(x, level) for x in values]
         return np.array(texts, dtype=object)[at].tolist()
 
 
+def _chunks(obj, indent: int):
+    """The canonical text of ``obj`` as an iterator of strings.  Everything
+    that can fail has run when this returns; the iterator only joins rows."""
+    encoder = _Encoder(indent)
+    pieces = encoder.encode(obj, 0).split(_HOLE)
+    return chain.from_iterable(chain((piece,), body)
+                               for piece, body in zip(pieces, encoder.bodies + [()]))
+
+
+def dump_canonical(obj, fh, indent: int = 0) -> None:
+    """Write the canonical text of ``obj`` to ``fh``; nothing is written if it cannot be encoded."""
+    for chunk in _chunks(obj, indent):
+        fh.write(chunk)
+
+
 def dumps_canonical(obj, indent: int = 0) -> str:
-    return _Encoder(indent).encode(obj, 0)
+    return "".join(_chunks(obj, indent))
 
 
 def write_json(obj, path: str) -> None:
+    chunks = _chunks(obj, 2)   # before the file is opened: a failed encode leaves it as it was
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_canonical(obj, indent=2))
+        fh.writelines(chunks)
         fh.write("\n")
 
 
@@ -263,4 +314,5 @@ def write_report_csv(report: EstimateReport, path: str) -> None:
     cells = [x for column in table.columns for x in (encoder.column(column, 0), repeat(","))]
     cells[-1] = repeat("\r\n")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(table.keys) + "\r\n" + "".join(chain.from_iterable(zip(*cells))))
+        fh.write(",".join(table.keys) + "\r\n")
+        fh.writelines(_blocks(cells))

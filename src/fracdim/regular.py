@@ -374,8 +374,7 @@ def level_points(family: RegularFamily, n: int, cloud: PointCloud) -> Subset:
     """Distinct assigned points at level ``n`` (strong families collapse reuse)."""
     if n > family.depth:
         raise ValueError(f"level {n} exceeds family depth {family.depth}")
-    idx = np.unique(np.asarray([family.assign[s] for s in family.labels_at(n)],
-                               dtype=np.int64))
+    idx = np.array(sorted({family.assign[s] for s in family.labels_at(n)}), dtype=np.int64)
     return Subset(cloud, idx)
 
 

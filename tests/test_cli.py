@@ -572,6 +572,64 @@ class TestDeterminismAndEntryPoint:
         if preset is None and threads is not None:
             assert threads == 1
 
+    def test_commands_load_no_numpy_ma(self, capsys, tmp_path):
+        # numpy.ma costs 15 ms and 0.5 MB to import; no command needs it
+        for argv in (["generate", "cantor", "--level", "4", "--out", "c.json"],
+                     ["generate", "polarized", "--depth", "3", "--out", "p.json"]):
+            assert main([*argv[:-1], str(tmp_path / argv[-1])]) == 0
+        (tmp_path / "plane.json").write_text(
+            '{"metric": "euclidean", "points": [[0, 0], [0.5, 0], [0, 0.25], [1, 1], [0.75, 0.5]]}')
+        (tmp_path / "tree.json").write_text(json.dumps([[0] * i for i in range(3)]))
+        capsys.readouterr()
+        cloud, plane, polarized, cert, tree = (str(tmp_path / name) for name in (
+            "c.json", "plane.json", "p.json", "cert.json", "tree.json"))
+        jobs = [["info", cloud],
+                ["estimate", cloud, "--r-min", "0.0625", "--r-max", "0.5"],
+                ["estimate", plane, "--r-min", "0.125", "--r-max", "1", "--mode", "greedy"],
+                ["certify", polarized, "--k", "2", "--l", "2", "--depth", "3", "--out", cert],
+                ["verify", polarized, cert, "--scaling"],
+                ["embed", tree, "--out", str(tmp_path / "t.json"), "--depth-scan"]]
+        script = (
+            "import json, runpy, sys\n"
+            "codes = []\n"
+            f"for argv in {jobs!r}:\n"
+            "    sys.argv = ['fracdim', *argv]\n"
+            "    try:\n"
+            "        runpy.run_module('fracdim', run_name='__main__')\n"
+            "    except SystemExit as stop:\n"
+            "        codes.append(stop.code)\n"
+            "print(json.dumps([codes, 'numpy.ma' in sys.modules]), file=sys.stderr)\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        codes, loaded = json.loads(proc.stderr.splitlines()[-1])
+        assert codes == [0] * len(jobs)
+        assert not loaded
+
+    @pytest.mark.parametrize("unbuffered", [True, False])
+    def test_closed_stdout_is_an_io_error(self, capsys, tmp_path, unbuffered):
+        # the reader goes away after 20 bytes of a report over 1 MB
+        cloud_path = tmp_path / "c.json"
+        main(["generate", "cantor", "--level", "10", "--out", str(cloud_path)])
+        capsys.readouterr()
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "fracdim", "estimate", str(cloud_path),
+             "--r-min", "0.015625", "--r-max", "0.5"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        head = proc.stdout.read(20)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 5, err
+        assert head == b'{\n  "alpha_hat": 0.5'
+        assert err == "I/O error: [Errno 32] Broken pipe\n"
+        # the same report, read whole, is over 1 MB
+        assert main(["estimate", str(cloud_path), "--r-min", "0.015625", "--r-max", "0.5"]) == 0
+        assert len(capsys.readouterr().out) > 1_000_000
+
     @pytest.mark.parametrize("argv, code", [
         (["generate", "cantor", "--level", "3", "--out", "c.json"], 0),
         (["info", "absent.json"], 5),   # an I/O error

@@ -169,6 +169,19 @@ class TestConstruction:
         with pytest.raises(ValueError, match="duplicate"):
             PointCloud([[0.0], [0.0], [1.0]])
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda d: st.lists(
+        st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e300]), min_size=d, max_size=d),
+        min_size=1, max_size=8)))
+    def test_duplicates_refused_as_np_unique_finds_them(self, points):
+        # the oracle: rows that np.unique(axis=0) merges, 0.0 and -0.0 alike
+        duplicated = len(np.unique(np.array(points), axis=0)) < len(points)
+        if duplicated:
+            with pytest.raises(ValueError, match="duplicate"):
+                PointCloud(points)
+        else:
+            assert np.array_equal(PointCloud(points).coords, points)
+
     @pytest.mark.parametrize("points", [[], [[]], [[], []]])
     def test_points_without_coordinates_rejected(self, points):
         with pytest.raises(ValueError, match="non-empty 2-D array"):

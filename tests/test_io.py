@@ -1,10 +1,11 @@
 import csv
 import json
+import tracemalloc
 from io import StringIO
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fracdim import (EstimateReport, FiniteTree, PointCloud, RegularFamily, ScaleWindow,
@@ -190,10 +191,10 @@ def _column(rows: int):
 
 
 @st.composite
-def _records(draw):
+def _records(draw, rows=st.integers(0, 6)):
     """A Records and the list of dicts it stands for."""
     keys = tuple(draw(st.lists(_KEYS, min_size=1, max_size=4, unique=True)))
-    rows = draw(st.integers(0, 6))
+    rows = draw(rows)
     columns = tuple(draw(_column(rows)) for _ in keys)
     return Records(keys, columns), [dict(zip(keys, row)) for row in zip(*columns)]
 
@@ -230,6 +231,135 @@ class TestRecords:
     def test_shape_checked(self, keys, columns):
         with pytest.raises(ValueError):
             Records(keys, columns)
+
+
+# Records row counts around a block of 3 rows: none, under, at and over one
+# block, and over two
+_BOUNDARY_ROWS = [0, 1, 2, 3, 4, 7]
+
+
+class _Recorder:
+    """A file object that keeps each write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+
+class TestStreamedWriter:
+    """Records rows joined and written in blocks, here of 3 rows."""
+
+    @pytest.fixture(autouse=True)
+    def _blocks_of_three(self, monkeypatch):
+        monkeypatch.setattr(io, "_BLOCK", 3)
+
+    @pytest.mark.parametrize("rows", _BOUNDARY_ROWS)
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_matches_the_oracle(self, rows, data):
+        rec, plain = data.draw(_records(st.just(rows)))
+        nested = [(rec, plain), ({"a": rec, "b": [rec]}, {"a": plain, "b": [plain]}),
+                  ([1, {"t": rec}, rec], [1, {"t": plain}, plain]),
+                  # a Records among a column's values is joined within its row
+                  (Records(("k", "v"), ([0, 1], [rec, [rec]])),
+                   [{"k": 0, "v": plain}, {"k": 1, "v": [plain]}])]
+        for indent in (0, 2):
+            for doc, expected in nested:
+                text = canonical_json_oracle(expected, indent)
+                sink = StringIO()
+                io.dump_canonical(doc, sink, indent=indent)
+                assert sink.getvalue() == text
+                assert io.dumps_canonical(doc, indent=indent) == text
+
+    @pytest.mark.parametrize("rows", _BOUNDARY_ROWS)
+    def test_rows_are_written_in_blocks(self, rows):
+        rec = Records(("a", "b"), (np.arange(rows), np.arange(rows) / 4))
+        sink = _Recorder()
+        io.dump_canonical({"head": 1, "table": rec, "tail": [rec]}, sink)
+        blocks = [3] * (rows // 3) + [rows % 3] * (rows % 3 > 0)
+        # the text before, between and after the tables holds one "{", the document's own
+        expected = [1, *blocks, 0, *blocks, 0] if rows else [1]
+        assert [w.count("{") for w in sink.writes] == expected
+
+    @pytest.mark.parametrize("rows", _BOUNDARY_ROWS)
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_csv_bytes_match_the_row_writer(self, tmp_path, rows, data):
+        counts = np.array(data.draw(st.lists(st.integers(1, 2 ** 62), min_size=rows,
+                                             max_size=rows)), dtype=np.int64).reshape(rows, 1)
+        exponents = np.array(data.draw(st.lists(_FLOATS, min_size=rows, max_size=rows)),
+                             dtype=np.float64).reshape(rows, 1)
+        report = EstimateReport(0.0, None, [(0.5, 0.125)], counts, exponents,
+                                ScaleWindow(0.125, 0.5), "exact")
+        expected = StringIO()
+        writer = csv.writer(expected)
+        writer.writerow(["center", "R", "r", "count", "exponent"])
+        writer.writerows([c, canonical_json_oracle(R), canonical_json_oracle(r), n,
+                          canonical_json_oracle(e)] for c, R, r, n, e in report.table)
+        io.write_report_csv(report, tmp_path / "rep.csv")
+        assert (tmp_path / "rep.csv").read_bytes() == expected.getvalue().encode()
+
+
+def test_streamed_table_peaks_below_a_quarter_of_its_text():
+    # an estimate-style table of 100,000 rows: 10,000 centers at 10 scale pairs
+    centers, pairs = 10_000, 10
+    big = np.repeat(2.0 ** -np.arange(1, 6), 2)
+    small = big / np.tile([4.0, 8.0], 5)
+    counts = (np.arange(centers * pairs) % 37 + 1).reshape(centers, pairs)
+    table = Records(("center", "R", "r", "count", "exponent"),
+                    (np.repeat(np.arange(centers), pairs), np.tile(big, centers),
+                     np.tile(small, centers), counts.ravel(),
+                     (np.log(counts) / np.log(big / small)).ravel()))
+
+    class Discard:
+        length = 0
+
+        def write(self, text):
+            self.length += len(text)
+
+    sink = Discard()
+    tracemalloc.start()
+    try:
+        io.dump_canonical({"alpha_hat": 0.5, "table": table}, sink, indent=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.length > 10_000_000
+    assert peak < sink.length / 4
+
+
+class TestFailedEncodeWritesNothing:
+    """Every step that can fail runs before the target is opened."""
+
+    @pytest.mark.parametrize("doc", [
+        {"a": float("nan")},
+        {"ok": Records(("a",), (np.arange(5.0),)),
+         "bad": Records(("a",), (np.array([1.0, np.inf]),))},
+        [Records(("a",), ([1, object()],))],
+    ])
+    def test_write_json_leaves_the_file(self, tmp_path, doc):
+        path = tmp_path / "kept.json"
+        path.write_text("kept")
+        with pytest.raises((ValueError, TypeError)):
+            io.write_json(doc, path)
+        assert path.read_text() == "kept"
+        sink = _Recorder()
+        with pytest.raises((ValueError, TypeError)):
+            io.dump_canonical(doc, sink, indent=2)
+        assert sink.writes == []
+
+    def test_write_report_csv_leaves_the_file(self, tmp_path):
+        report = EstimateReport(0.0, None, [(0.5, 0.125)], np.array([[2], [3]]),
+                                np.array([[0.5], [np.nan]]), ScaleWindow(0.125, 0.5), "exact")
+        path = tmp_path / "kept.csv"
+        path.write_text("kept")
+        with pytest.raises(ValueError):
+            io.write_report_csv(report, path)
+        assert path.read_text() == "kept"
 
 
 class TestCloudFiles:
