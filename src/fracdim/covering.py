@@ -16,23 +16,28 @@ instead: the sweep's jump ``i -> next_r[i]`` is composed with itself
 every center's ball) come out in one vectorized pass of O(log n) steps,
 O(n log n) per scale, with no parts built.
 
-One greedy scan serves two jobs: each part starts at the first uncovered
+One greedy rule serves two jobs: each part starts at the first uncovered
 point and takes, in scan order, every uncovered point related to all
 members so far.  Under ``d <= r + tol`` the parts are the greedy cover;
-the first part under ``d >= sep - tol`` is the greedy packing.  Subsets of
-up to 2,896 points hold the relation as one bitset per row, packed with
-any other thresholds' rows from one pass over the distances; larger ones
-compute each new member's distances to the remaining candidates only.
-The scan may start from a mask, so one relation's rows scan any subset (a
-ball, say).  Exact packing builds one bitset relation per solve; exact
+the first part under ``d >= sep - tol`` is the greedy packing.  One scan,
+:func:`_scan`, builds the parts of one subset.  Subsets of up to 2,896
+points hold the relation as one bitset per row, packed with any other
+thresholds' rows from one pass over the distances; larger ones compute
+each new member's distances to the remaining candidates only.  The scan
+may start from a mask, so one relation's rows scan any subset (a ball,
+say).  Exact packing builds one bitset relation per solve; exact
 cover search runs on given rows within a mask, with the scan as its upper
 bound and the separated bound as its lower: the first greedy part of the
 mask under the complement ``d > r + tol``, points no part holds two of.
 
 :func:`_ball_counts` is the one ball-count kernel: N_r(B(x, R)) for every
 x in a point set and every (R, r), for the estimate (the whole cloud) and
-the scaling check (a certificate's deepest level).  Private helpers take
-index arrays, and witnesses are reproducible across runs and platforms.
+the scaling check (a certificate's deepest level).  Exact and certified
+counts go ball by ball through a given count function.  Greedy counts
+need no parts, so :func:`_greedy_counts` runs the scan of every ball that
+shares an r at once, in one pass over the points in index order, with the
+same numbers as scanning each ball.  Private helpers take index arrays,
+and witnesses are reproducible across runs and platforms.
 """
 from __future__ import annotations
 
@@ -128,12 +133,28 @@ def _relation_rows(cloud: PointCloud, idx: np.ndarray, *related) -> List[List[in
     relations = [[] for _ in related]
     for _, block in cloud._blocks(idx):
         for rows, relate in zip(relations, related):
-            packed = np.packbits(relate(block), axis=1, bitorder="little")
-            width = packed.shape[1]
-            data = packed.tobytes()
-            rows.extend(int.from_bytes(data[t * width:(t + 1) * width], "little")
-                        for t in range(len(packed)))
+            rows.extend(_packed_ints(np.packbits(relate(block), axis=1, bitorder="little")))
     return relations
+
+
+def _packed_ints(packed: np.ndarray) -> List[int]:
+    """Each row of a little-endian ``np.packbits`` array as one Python integer."""
+    width = packed.shape[1]
+    data = packed.tobytes()
+    return [int.from_bytes(data[t * width:(t + 1) * width], "little") for t in range(len(packed))]
+
+
+def _unpacked_bits(ints: List[int], size: int) -> np.ndarray:
+    """Bits 0 .. size - 1 of each integer in ``ints``, as the rows of a 0/1 uint8 array."""
+    width = (size + 7) // 8
+    data = b"".join(v.to_bytes(width, "little") for v in ints)
+    packed = np.frombuffer(data, dtype=np.uint8).reshape(len(ints), width)
+    return np.unpackbits(packed, axis=1, count=size, bitorder="little")
+
+
+def _transposed(rows: List[int]) -> List[int]:
+    """The columns of the square bitset relation ``rows``, as rows."""
+    return _packed_ints(np.packbits(_unpacked_bits(rows, len(rows)).T, axis=1, bitorder="little"))
 
 
 def _scan(rows: List[int], uncovered: Optional[int] = None) -> Tuple[List[int], List[int]]:
@@ -156,6 +177,51 @@ def _scan(rows: List[int], uncovered: Optional[int] = None) -> Tuple[List[int], 
             allowed = (allowed ^ low) & rows[t]
         ends.append(len(members))
     return members, ends
+
+
+def _greedy_counts(rows: List[int], columns: List[List[int]]) -> np.ndarray:
+    """Entry (c, j) is the number of greedy parts (:func:`_scan`) under bitset
+    ``rows`` of the j-th ball of center c: the positions u whose column
+    ``columns[j][u]`` has bit c set.  Equal to scanning the balls one by one.
+
+    All balls go through one pass over the positions t in increasing order.
+    A slot is one (j, c); ``slots[u]`` holds the slots whose ball holds u
+    where u is not yet covered.  Every slot holding t opens a part at t,
+    because t is then the lowest uncovered point of its ball.  t's later
+    neighbours u under ``rows`` follow in increasing order, and each joins
+    the part, and is covered, in the opening slots where it is uncovered and
+    related to every member that joined before it.  The work grows with the
+    sum over t of (later neighbours of t)^2, not with the balls' sizes.
+    """
+    m = len(rows)
+    slots = [sum(col[u] << j * m for j, col in enumerate(columns)) for u in range(m)]
+    planes: List[int] = []      # the counts in binary: bit s of planes[i] is bit i of slot s's count
+    for t in range(m):
+        opening = carry = slots[t]
+        for i, plane in enumerate(planes):
+            if not carry:
+                break
+            planes[i], carry = plane ^ carry, plane & carry
+        if carry:
+            planes.append(carry)
+        joined = []     # (row, slots) of each member after t, in order
+        later = rows[t] >> t + 1 << t + 1 if opening else 0
+        while later:
+            low = later & -later
+            later ^= low
+            u = low.bit_length() - 1
+            here = opening & slots[u]
+            for row, there in joined:
+                if not here:
+                    break
+                if not row >> u & 1:
+                    here &= ~there
+            if here:
+                slots[u] ^= here
+                joined.append((rows[u], here))
+    weights = np.int64(1) << np.arange(len(planes), dtype=np.int64)[:, None]
+    counts = (_unpacked_bits(planes, len(columns) * m) * weights).sum(axis=0, dtype=np.int64)
+    return counts.reshape(len(columns), m).T
 
 
 def _greedy_parts(cloud: PointCloud, idx: np.ndarray, related) -> List[np.ndarray]:
@@ -258,15 +324,19 @@ def _min_clique_cover(rows: List[int], mask: int) -> List[int]:
 
 
 def _ball_counts(cloud: PointCloud, idx: np.ndarray, pairs: List[Tuple[float, float]],
-                 tol: float, count) -> np.ndarray:
+                 tol: float, count=None) -> np.ndarray:
     """Entry (t, p) counts at r the points of ``idx`` within R + tol of ``idx[t]``,
-    for ``pairs[p] = (R, r)``, computed center by center, then pair by pair.
+    for ``pairs[p] = (R, r)``.
 
     1-D clouds take the doubling table over ``idx`` in coordinate order, so
     every count is exact and ``count`` is not called.  Elsewhere each
     distinct scale s gets one relation ``d <= s + tol`` on ``idx`` (the
-    comparison of :func:`fracdim.cloud._ball`), and an entry is
-    ``count(relation[r], relation[R][t])``: the ball is a position mask.
+    comparison of :func:`fracdim.cloud._ball`).  With ``count`` given, an
+    entry is ``count(relation[r], relation[R][t])``, the ball a position
+    mask, computed center by center, then pair by pair.  With ``count``
+    None, an entry is the greedy scan's count of that ball, and the pairs
+    sharing an r are counted together by :func:`_greedy_counts`, which
+    reads each ball through the columns of the relation at R.
     """
     counts = np.empty((idx.size, len(pairs)), dtype=np.int64)
     if not pairs:
@@ -283,8 +353,17 @@ def _ball_counts(cloud: PointCloud, idx: np.ndarray, pairs: List[Tuple[float, fl
     scales = sorted({s for pair in pairs for s in pair})
     relation = dict(zip(scales, _relation_rows(
         cloud, idx, *[lambda d, s=s: d <= s + tol for s in scales])))
-    for t in range(idx.size):
-        counts[t] = [count(relation[r], relation[R][t]) for R, r in pairs]
+    if count is not None:
+        for t in range(idx.size):
+            counts[t] = [count(relation[r], relation[R][t]) for R, r in pairs]
+        return counts
+    # Coordinate relations are symmetric bit for bit (cloud._distance_blocks),
+    # so their rows are their columns; a matrix is symmetric only within tol.
+    column = relation if cloud.coords is not None else \
+        {R: _transposed(relation[R]) for R, _ in pairs}
+    for r in {r for _, r in pairs}:
+        at = [p for p, (_, s) in enumerate(pairs) if s == r]
+        counts[:, at] = _greedy_counts(relation[r], [column[pairs[p][0]] for p in at])
     return counts
 
 
@@ -394,9 +473,10 @@ def maximal_separated_family(subset: Subset, sep: float, seed: int,
 def validate_cover(subset: Subset, result: CoverResult, r: float,
                    tol: float = DEFAULT_TOL) -> bool:
     """Independent witness check: parts jointly cover and each has diameter <= r."""
-    covered = np.unique(np.concatenate([p.indices for p in result.parts])) \
+    covered = np.sort(np.concatenate([p.indices for p in result.parts])) \
         if result.parts else np.empty(0, dtype=np.int64)
-    if not np.array_equal(covered, subset.indices):
+    # The union of the parts: each index once.  (np.unique would load numpy.ma.)
+    if not np.array_equal(covered[np.diff(covered, prepend=-1) != 0], subset.indices):
         return False
     if result.count != len(result.parts):
         return False

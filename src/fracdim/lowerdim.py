@@ -11,10 +11,13 @@ Every count N_r(B(x, R)) comes from the one ball-count kernel,
 :func:`fracdim.covering._ball_counts`, over the whole cloud.  On 1-D
 coordinate clouds (both metrics are |x - y| there) it takes the covering
 sweep's doubling table, so both modes get exact counts with no witness parts
-built.  On other clouds it hands this module's ``count`` the relation at r
-and the ball B(x, R) as a mask, and ``count`` is the one greedy scan or the
-exact cover solver within that mask, so no distance matrix is built.  The
-table stays in columns, as (centers x pairs) arrays, up to the output text.
+built.  On other clouds it builds one bitset relation per grid scale, and
+no distance matrix.  Greedy mode takes the kernel's own greedy counts: the
+scans of all balls that share an r run together in one pass over the
+points.  Exact mode hands this module's ``count`` the relation at r and
+the ball B(x, R) as a mask, one ball at a time in table order, and
+``count`` is the exact cover solver within that mask.  The table stays in
+columns, as (centers x pairs) arrays, up to the output text.
 """
 from __future__ import annotations
 
@@ -26,7 +29,7 @@ import numpy as np
 
 from .cloud import PointCloud
 from .config import DEFAULT_BUDGET, DEFAULT_EXACT_CUTOFF, DEFAULT_TOL, Records
-from .covering import _ball_counts, _min_clique_cover, _refuse_above_cutoff, _scan
+from .covering import _ball_counts, _min_clique_cover, _refuse_above_cutoff
 from .regular import RegularFamily, SearchResult, search_regular
 
 SEMANTICS_NOTE = "scale-window estimate on a finite sample, not a limit quantity"
@@ -140,13 +143,12 @@ def lower_dim_estimate(cloud: PointCloud, window: ScaleWindow, mode: str = "exac
         raise ValueError(f"unknown mode {mode!r}")
     pairs = window.pairs(diam_cap=cloud.diam(), tol=tol)
 
-    def count(rows: List[int], ball: int) -> int:
-        if mode == "greedy":
-            return len(_scan(rows, ball)[1]) - 1
+    def exact_count(rows: List[int], ball: int) -> int:
         _refuse_above_cutoff("covering", ball.bit_count(), exact_cutoff)
         return len(_min_clique_cover(rows, ball))
 
-    counts = _ball_counts(cloud, np.arange(cloud.n), pairs, tol, count)
+    counts = _ball_counts(cloud, np.arange(cloud.n), pairs, tol,
+                          exact_count if mode == "exact" else None)
     exponents = np.empty(counts.shape)
     for p, (R, r) in enumerate(pairs):   # one log per distinct count at each pair
         distinct, at = np.unique(counts[:, p], return_inverse=True)

@@ -1,4 +1,8 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -14,12 +18,12 @@ from fracdim import (PointCloud, RegularFamily, ScaleWindow, Subset, cantor_clou
                      verify_regular)
 from fracdim.covering import (CoverResult, PackResult, _ball_counts, _bb_max_separated,
                               _bb_min_clique_cover, _greedy_cover_parts, _greedy_pack_indices,
-                              _min_clique_cover, _relation_rows, _separated_lower_bound,
+                              _min_clique_cover, _relation_rows, _scan, _separated_lower_bound,
                               _sweep_cover_counts, _sweep_cover_parts)
 from oracles import (bb_max_separated_oracle, bb_min_clique_cover_oracle,
                      certified_cover_count_1d, distance_row_oracle, exact_cover_oracle,
-                     exact_pack_oracle, greedy_cover_oracle, greedy_pack_oracle,
-                     random_metric_cloud, separated_family_oracle)
+                     exact_pack_oracle, greedy_cover_oracle, greedy_estimate_counts_oracle,
+                     greedy_pack_oracle, random_metric_cloud, separated_family_oracle)
 
 TOL = 1e-12
 
@@ -82,6 +86,30 @@ class TestWitnessCheckers:
         sub = grid11.all_indices()
         res = covering_number(sub, 0.35, mode="exact")
         assert not validate_cover(sub, CoverResult(res.count - 1, res.parts, res.exact), 0.35)
+
+    def test_cover_parts_may_overlap_but_not_leave_the_subset(self, grid11):
+        # the parts' union, each index once, must be the subset itself
+        sub = grid11.subset(range(8))
+        overlapping = [grid11.subset(range(5)), grid11.subset(range(3, 8)), grid11.subset([4])]
+        assert validate_cover(sub, CoverResult(3, overlapping, False), 0.5)
+        beyond = [grid11.subset(range(5)), grid11.subset(range(4, 9))]   # 8 is not in sub
+        assert not validate_cover(sub, CoverResult(2, beyond, False), 0.5)
+        short = [grid11.subset(range(1, 8))]   # 0 is in no part
+        assert not validate_cover(sub, CoverResult(1, short, False), 0.7)
+
+    def test_cover_check_loads_no_numpy_ma(self):
+        # numpy.ma costs about 15 ms and 0.5 MB the first time it is imported
+        script = ("import sys\n"
+                  "from fracdim import PointCloud, covering_number, validate_cover\n"
+                  "s = PointCloud([[0, 0], [1, 0], [0, 1], [3, 3]]).all_indices()\n"
+                  "before = 'numpy.ma' in sys.modules\n"
+                  "assert validate_cover(s, covering_number(s, 1.0), 1.0)\n"
+                  "print(before, 'numpy.ma' in sys.modules)\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "False"]
 
     def test_packing_count_disagrees_with_witnesses(self, grid11):
         res = packing_number(grid11.all_indices(), 0.25, mode="exact")
@@ -472,6 +500,10 @@ def _separated_count(rows, ball):
     return _separated_lower_bound(rows, ball).bit_count()
 
 
+def _scan_count(rows, ball):
+    return len(_scan(rows, ball)[1]) - 1
+
+
 _PAIRS = st.lists(st.tuples(st.integers(1, 12), st.integers(1, 12)), max_size=3)
 
 
@@ -508,8 +540,11 @@ class TestBallCounts:
         coords = np.array([[c // 16, c % 16] for c in cells], dtype=float) / 8.0
         dmat = np.stack([distance_row_oracle(coords, i, metric if metric == "l1" else "euclidean")
                          for i in range(len(cells))])
-        cloud = (PointCloud.from_matrix(dmat) if metric == "matrix"
-                 else PointCloud(coords, metric=metric))
+
+        def fresh():
+            return (PointCloud.from_matrix(dmat) if metric == "matrix"
+                    else PointCloud(coords, metric=metric))
+
         keep = (range(len(cells)) if data is None else
                 data.draw(st.lists(st.sampled_from(range(len(cells))), min_size=1, unique=True)))
         idx = np.asarray(keep, dtype=np.int64)
@@ -522,10 +557,32 @@ class TestBallCounts:
                 sub = dmat[np.ix_(ball, ball)]
                 expected[_exact_count][t, p] = exact_cover_oracle(sub, r)
                 expected[_separated_count][t, p] = len(separated_family_oracle(sub, r, TOL))
+        # the greedy count, by the one-pass kernel (None) and by scanning ball by ball
+        greedy = np.array(greedy_estimate_counts_oracle(dmat[np.ix_(idx, idx)], pairs, TOL),
+                          dtype=np.int64).reshape(idx.size, len(pairs))
+        expected.update({None: greedy, _scan_count: greedy})
         for count, want in expected.items():
-            assert _ball_counts(cloud, idx, pairs, TOL, count).tolist() == want.tolist()
+            held = fresh()
+            held.dense()    # blocks are sliced from the held matrix
+            assert _ball_counts(held, idx, pairs, TOL, count).tolist() == want.tolist()
             with mock.patch.object(cloud_module, "_BLOCK_ELEMENTS", 8):   # one row per block
-                assert _ball_counts(cloud, idx, pairs, TOL, count).tolist() == want.tolist()
+                assert _ball_counts(fresh(), idx, pairs, TOL, count).tolist() == want.tolist()
+            with mock.patch.object(cloud_module, "_DENSE_CAP", 0):   # no matrix to slice
+                capped = fresh()
+                assert _ball_counts(capped, idx, pairs, TOL, count).tolist() == want.tolist()
+                assert (capped.dense() is None) == (metric != "matrix")
+
+    def test_greedy_reads_balls_by_column(self):
+        # symmetric only within tol: 1 lies in B(0, 1), as d(0, 1) = 1 + tol, but
+        # 0 does not lie in B(1, 1), as d(1, 0) = 1 + 1.5 tol.  Read by row, the
+        # relation at R would put 0 in center 1's ball and drop 1 from center 0's.
+        dmat = np.array([[0.0, 1 + TOL, 0.5], [1 + 1.5 * TOL, 0.0, 0.6], [0.5, 0.6, 0.0]])
+        cloud = PointCloud.from_matrix(dmat)
+        assert dmat[0, 1] <= 1 + TOL < dmat[1, 0]
+        want = [[3], [2], [3]]
+        assert greedy_estimate_counts_oracle(dmat, [(1.0, 0.25)], TOL) == want
+        for count in (None, _scan_count):
+            assert _ball_counts(cloud, np.arange(3), [(1.0, 0.25)], TOL, count).tolist() == want
 
     def test_distances_within_tol_of_the_scale(self):
         # 0.1 + 0.2 is an ulp above 0.3, and 1 + tol/2 above 1: both are in the

@@ -173,6 +173,16 @@ class TestGreedyRelationRows:
             rep = lower_dim_estimate(cloud, self.WINDOW, mode="greedy", tol=tol)
         assert [(c, R, r, n) for c, R, r, n, _ in rep.table] == expected
 
+    def test_matrix_symmetric_within_tol(self):
+        # d(0, 1) = 1 + tol puts 1 in B(0, 1), and d(1, 0) = 1 + 1.5 tol keeps 0
+        # out of B(1, 1); at r = 1/4 no two points share a part, so each count
+        # is the size of a ball read along its center's row
+        tol = 1e-12
+        dmat = np.array([[0.0, 1 + tol, 0.5], [1 + 1.5 * tol, 0.0, 0.6], [0.5, 0.6, 0.0]])
+        rep = lower_dim_estimate(PointCloud.from_matrix(dmat), ScaleWindow(1 / 4, 1), mode="greedy")
+        assert rep.pairs == [(1.0, 0.25)]
+        assert rep.counts.tolist() == greedy_estimate_counts_oracle(dmat, rep.pairs) == [[3], [2], [3]]
+
     def test_above_dense_cap(self, monkeypatch):
         # 3,600 distances exceed a cap of 2^10: the capped cloud never holds
         # the matrix and recomputes every relation's blocks
