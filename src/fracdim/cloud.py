@@ -12,16 +12,15 @@ coordinate order (``_order``, and ``_line``, the coordinates in it),
 computed once whatever the storage order, and finds where a run ends with
 :func:`_run_end`, which compares the kernel's distances, as the validators
 and the verifier do.
-A coordinate cloud with n^2 <= ``_DENSE_CAP`` (n <= 2,896, at most 64 MB)
-builds its full distance matrix the first time rows are asked for
-(:meth:`PointCloud.dense`, ``distances_from``, ``pairwise``) and keeps it;
-matrix clouds use their own matrix.  Above the cap, rows are recomputed on
-each request.  One-pass scans (diameters, the smallest gap, packing checks,
-greedy compatibility rows, single distances) read the matrix when it is
-there and otherwise recompute a block of rows at a time, so they never
-build it and never hold more than one block.  The cap was chosen from
-memory, not from a measured crossover: no benchmark workload has a generic
-cloud near or above it.
+Only the certificate search holds the full distance matrix: it calls
+:meth:`PointCloud.dense`, which builds it on a coordinate cloud with
+n^2 <= ``_DENSE_CAP`` (n <= 2,896, at most 64 MB); matrix clouds use their
+own.  Every other read (``distances_from``, ``pairwise``, ``distance`` and
+the block scans behind diameters, the smallest gap, packing checks, greedy
+rows and the certificate verifier) reads the matrix when it is held and
+otherwise computes only what was asked, one block of rows at a time.  The
+cap was chosen from memory, not from a measured crossover: no benchmark
+workload has a generic cloud near or above it.
 
 Coordinates, the stored matrix, the cached matrix and every returned row
 are read-only, so no caller can corrupt the cloud through a view.  The
@@ -114,11 +113,9 @@ class PointCloud:
         return self.dim == 1 and bool(np.all(np.diff(self.coords[:, 0]) > 0))
 
     def dense(self) -> Optional[np.ndarray]:
-        """The read-only n x n distance matrix, or None above ``_DENSE_CAP``.
-
-        Matrix clouds return their own matrix; coordinate clouds build it on
-        first call.
-        """
+        """The read-only n x n distance matrix, or None above ``_DENSE_CAP``:
+        a coordinate cloud builds it on first call and keeps it, a matrix cloud
+        returns its own.  The certificate search is the one caller."""
         if self._dense is None and self.n * self.n <= _DENSE_CAP:
             dense = _distance_block(self.coords, self.coords, self.metric)
             dense.setflags(write=False)
@@ -128,9 +125,8 @@ class PointCloud:
     def distances_from(self, i: int) -> np.ndarray:
         """Read-only vector of distances from point ``i`` to every point."""
         self._check_index(i)
-        dense = self.dense()
-        if dense is not None:
-            return dense[i]
+        if self._dense is not None:
+            return self._dense[i]
         _, block = next(_distance_blocks(self.coords[i:i + 1], self.coords, self.metric))
         block.setflags(write=False)
         return block[0]
@@ -140,9 +136,8 @@ class PointCloud:
         ``idx``), rows and columns in the given orders."""
         idx = np.asarray(idx, dtype=np.int64)
         cols = idx if cols is None else np.asarray(cols, dtype=np.int64)
-        dense = self.dense()
-        if dense is not None:
-            return dense[np.ix_(idx, cols)]
+        if self._dense is not None:
+            return self._dense[np.ix_(idx, cols)]
         return _distance_block(self.coords[idx], self.coords[cols], self.metric)
 
     def distance(self, i: int, j: int) -> float:

@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .cloud import PointCloud, Subset, _ball
+from .cloud import PointCloud, Subset, _ball, _upper
 from .config import (_JSON_CHECKS, DEFAULT_BUDGET, DEFAULT_EXACT_CUTOFF, DEFAULT_TOL,
                      _checked_object)
 from .covering import (_ball_counts, _greedy_cover_parts, _min_clique_cover,
@@ -142,7 +142,8 @@ def verify_regular(cloud: PointCloud, family: RegularFamily,
 
     Inequalities are evaluated on the permissive side of ``tol``.  The strong
     condition is point identity, which on a duplicate-free cloud is index
-    identity.
+    identity.  Separation is scanned one block of a level's rows at a time,
+    pairs in row-major label order; no level's whole submatrix is held.
     """
     for lab, idx in family.assign.items():
         if not 0 <= idx < cloud.n:
@@ -161,10 +162,10 @@ def verify_regular(cloud: PointCloud, family: RegularFamily,
         labs = family.labels_at(n)
         idx = np.asarray([family.assign[s] for s in labs], dtype=np.int64)
         req = level_separation(family.k, n)
-        dmat = cloud.pairwise(idx)
-        bad = np.argwhere(np.triu(dmat < req - tol, k=1))
-        for a, b in bad:
-            violations.append(Violation("sep", labs[a], labs[b], float(dmat[a, b]), req))
+        for start, block in cloud._blocks(idx):
+            for a, b in np.argwhere((block < req - tol) & _upper(start, block)):
+                d = float(block[a, b])
+                violations.append(Violation("sep", labs[start + a], labs[b], d, req))
     if family.strong:
         for n in range(family.depth):
             for s in family.labels_at(n):
@@ -204,6 +205,8 @@ class _Search:
         self.expansions = 0
         self._frag: Dict[Tuple[int, int, int], Optional[dict]] = {}
         self._plausible: Dict[Tuple[int, int], bool] = {}
+        if cloud.dim != 1:     # rows are read again and again; 1-D balls slice _order
+            cloud.dense()
 
     def _tick(self) -> None:
         self.expansions += 1

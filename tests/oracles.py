@@ -147,6 +147,17 @@ def distance_row_oracle(coords: np.ndarray, i: int, metric: str) -> np.ndarray:
     return np.abs(diff).sum(axis=1)
 
 
+def separation_violations_oracle(coords: np.ndarray, metric: str, idx, sep: float,
+                                 tol: float = 1e-12) -> list:
+    """Pairs (a, b), a < b, of positions in ``idx`` whose points are closer than
+    ``sep - tol``, with their distances, in row-major order: the whole
+    submatrix of :func:`distance_row_oracle` rows, compared at once."""
+    idx = np.asarray(idx, dtype=np.int64)
+    dmat = np.stack([distance_row_oracle(coords, i, metric)[idx] for i in idx])
+    return [(int(a), int(b), float(dmat[a, b]))
+            for a, b in np.argwhere(np.triu(dmat < sep - tol, k=1))]
+
+
 def greedy_cover_oracle(dmat: np.ndarray, r: float, tol: float = 1e-12) -> list:
     """Lowest-index greedy cover by a row-by-row scan, parts as position arrays.
 

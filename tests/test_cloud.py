@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import fracdim.cloud as cloud_module
 from fracdim import (PointCloud, closed_ball, diameter, hausdorff_distance,
                      interval_plus_point_cloud, validate_packing)
+from fracdim.config import DEFAULT_TOL
 from fracdim.covering import PackResult
 from oracles import brute_hausdorff, distance_row_oracle
 
@@ -113,6 +114,14 @@ class TestBallRule:
                 assert np.array_equal(np.sort(ball), np.flatnonzero(row <= radius + tol))
                 key = ball if cloud.dim != 1 else cloud.coords[ball, 0]
                 assert np.all(np.diff(key) > 0)
+
+    def test_default_tol_against_coordinate_rounding(self):
+        # the absolute tol exceeds half an ulp, the rounding of an input
+        # coordinate, below magnitude 2^14 and falls short of it from there on
+        # (README, Tolerance): adding it to a coordinate then changes nothing
+        assert np.spacing(2.0 ** 13) / 2 < DEFAULT_TOL < np.spacing(2.0 ** 14) / 2
+        assert (2.0 ** 13 + 1.0) + DEFAULT_TOL > 2.0 ** 13 + 1.0
+        assert (2.0 ** 14 + 1.0) + DEFAULT_TOL == 2.0 ** 14 + 1.0
 
 
 class TestHausdorff:

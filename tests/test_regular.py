@@ -7,12 +7,14 @@ import pytest
 import fracdim.cloud as cloud_module
 import fracdim.regular as regular_module
 from fracdim import (FiniteTree, PointCloud, RegularFamily, ScaleWindow, cantor_cloud,
-                     certificate_scaling_check, choose_parameters,
+                     certificate_scaling_check, choose_parameters, closed_ball, diameter,
                      dimension_bound, dyadic_interval_cloud, embed_tree,
                      hausdorff_distance, level_points, lower_dim_estimate,
                      max_regular_depth, packing_number, polarized_example_cloud,
-                     polarized_natural_family, search_regular, verify_regular)
-from oracles import distance_row_oracle
+                     polarized_natural_family, search_regular, validate_packing,
+                     verify_regular)
+from fracdim.covering import PackResult
+from oracles import distance_row_oracle, separation_violations_oracle
 
 TOL = 1e-12
 
@@ -73,6 +75,45 @@ class TestVerify:
     def test_shape_refusals(self, k, l, depth, assign, message):
         with pytest.raises(ValueError, match=message):
             RegularFamily(k, l, depth, False, assign)
+
+    @pytest.mark.parametrize("held", [False, True])
+    def test_separation_scan_holds_one_block(self, monkeypatch, held):
+        # level 2 sits on the 4 x 4 lattice of spacing 1/4, exactly separated,
+        # with three plants: label 1 one step toward label 0, label 9 on
+        # label 3's point, label 14 one step toward label 15.  At one row per
+        # recomputed block (two per block of the held matrix) each plant lies
+        # in its own block; the level-1 corners are all closer than 1.
+        cloud = _grid_2d()
+        lattice = [64 * a + 4 * b for a in range(4) for b in range(4)]
+        lattice[1], lattice[9], lattice[14] = lattice[1] - 1, lattice[3], lattice[14] + 1
+        labels = [lab for n in range(3) for lab in itertools.product(range(4), repeat=n)]
+        fam = RegularFamily(2, 4, 2, False, dict(zip(labels, [0, 0, 15, 240, 255] + lattice)))
+        if held:
+            cloud.dense()
+        monkeypatch.setattr(cloud_module, "_BLOCK_ELEMENTS", 32)
+        scan, shapes = PointCloud._blocks, []
+
+        def recording_scan(self, *args):
+            for start, block in scan(self, *args):
+                shapes.append(block.shape)
+                yield start, block
+
+        def no_pairwise(*args):
+            raise AssertionError("verify_regular asked for a whole submatrix")
+
+        monkeypatch.setattr(PointCloud, "_blocks", recording_scan)
+        monkeypatch.setattr(PointCloud, "pairwise", no_pairwise)
+        report = verify_regular(cloud, fam)
+        expected = {n: separation_violations_oracle(
+            cloud.coords, "euclidean", [fam.assign[s] for s in fam.labels_at(n)],
+            regular_module.level_separation(2, n)) for n in (1, 2)}
+        assert [(a, b) for a, b, _ in expected[2]] == [(0, 1), (3, 9), (14, 15)]
+        assert [(v.s, v.t, v.measured) for v in report.violations if v.kind == "sep"] == [
+            (fam.labels_at(n)[a], fam.labels_at(n)[b], d)
+            for n in (1, 2) for a, b, d in expected[n]]
+        assert max(rows * cols for rows, cols in shapes) <= 32
+        assert sum(cols == 16 for _, cols in shapes) >= 8     # level 2 spans 8 or 16 blocks
+        assert (cloud._dense is not None) == held
 
 
 class TestSearch:
@@ -503,3 +544,73 @@ class TestIndexArraysInside:
         lower_dim_estimate(cloud, ScaleWindow(1 / 32, 1 / 2), mode=mode, exact_cutoff=60)
         assert subset_count[0] == 0
         assert cloud._dense is None
+
+
+def _read_cloud(kind):
+    """(coords, metric, depth of a (2, 2)-regular family) of a cloud below the
+    dense cap: a tree embedding (l1, 341 points) or the 17 x 17 dyadic grid
+    of spacing 1/16 (euclidean, 289 points)."""
+    if kind == "tree":
+        return embed_tree(FiniteTree.full_tree(4, 2)).coords, "l1", 4
+    return np.array([[i / 16, j / 16] for i in range(17) for j in range(17)]), "euclidean", 2
+
+
+class TestMatrixOwner:
+    """The certificate search is the one caller that builds the distance
+    matrix; every other read computes what it was asked for, and gives the
+    same values when the matrix is held."""
+
+    @staticmethod
+    def _reads(cloud, fam, radius, sep):
+        idx = np.arange(0, cloud.n, 3)
+        pack = PackResult(idx.size, cloud.subset(idx), False)
+        return {
+            "ball": closed_ball(cloud, 5, radius).indices.tolist(),
+            "row": cloud.distances_from(7).tolist(),
+            "pairwise": cloud.pairwise(idx, idx[::-1]).tolist(),
+            "distance": cloud.distance(3, 11),
+            "diameter": diameter(cloud, cloud.subset(idx)),
+            "diam": cloud.diam(),
+            "gap": cloud.min_positive_gap(),
+            "packing": [validate_packing(pack, sep, tol=0.0),
+                        validate_packing(pack, np.nextafter(sep, np.inf), tol=0.0)],
+            "verify": verify_regular(cloud, fam).to_dict(),
+            "scaling": certificate_scaling_check(cloud, fam),
+        }
+
+    @pytest.mark.parametrize("kind", ["tree", "plane"])
+    def test_reads_build_no_matrix(self, kind):
+        coords, metric, depth = _read_cloud(kind)
+        fam = search_regular(PointCloud(coords, metric=metric), 2, 2, depth).family
+        dmat = np.stack([distance_row_oracle(coords, i, metric) for i in range(len(coords))])
+        idx = np.arange(0, len(coords), 3)
+        sub = dmat[np.ix_(idx, idx)]
+        radius, sep = float(np.median(dmat[5])), sub[np.triu_indices(idx.size, 1)].min()
+        fresh = PointCloud(coords, metric=metric)
+        got = self._reads(fresh, fam, radius, sep)
+        assert fresh._dense is None
+        assert got == {
+            "ball": np.flatnonzero(dmat[5] <= radius + TOL).tolist(),
+            "row": dmat[7].tolist(),
+            "pairwise": dmat[np.ix_(idx, idx[::-1])].tolist(),
+            "distance": dmat[3, 11],
+            "diameter": sub.max(),
+            "diam": dmat.max(),
+            "gap": dmat[np.triu_indices(len(coords), 1)].min(),
+            "packing": [True, False],
+            "verify": {"ok": True, "violations": []},
+            "scaling": True,
+        }
+        held = PointCloud(coords, metric=metric)
+        held.dense()
+        assert self._reads(held, fam, radius, sep) == got
+
+    @pytest.mark.parametrize("kind", ["tree", "plane", "line"])
+    def test_search_holds_the_matrix(self, kind):
+        if kind == "line":    # 1-D balls are slices of the coordinate order
+            cloud, depth = polarized_example_cloud(6), 6
+        else:
+            coords, metric, depth = _read_cloud(kind)
+            cloud = PointCloud(coords, metric=metric)
+        assert search_regular(cloud, 2, 2, depth).family is not None
+        assert (cloud._dense is None) == (kind == "line")
