@@ -13,10 +13,10 @@ assigned child set must be pairwise 2^(-k*(n+1)+2)-separated.  Because the
 child and sep constraints at earlier levels already force separation across
 branches (for k >= 2 the cross-branch gap is at least (8/3)*2^(-k*(j+1)) at
 the split level j, which dominates every deeper requirement), subtrees are
-feasible or not independently of their siblings; the search memoizes
-subtree outcomes per (point, level, remaining-depth) and is therefore
-exhaustive whenever the node-expansion budget is not hit.  Every returned
-family is re-checked by the verifier before being handed out.
+feasible or not independently of their siblings; the search memoizes each
+node's decision per (point, level, remaining-depth), None or its chosen
+children, and is exhaustive whenever the node-expansion budget is not hit.
+A found family is read off the memo from its root and then re-verified.
 """
 from __future__ import annotations
 
@@ -203,7 +203,7 @@ class _Search:
         self.budget = budget
         self.tol = tol
         self.expansions = 0
-        self._frag: Dict[Tuple[int, int, int], Optional[dict]] = {}
+        self._choice: Dict[Tuple[int, int, int], Optional[List[int]]] = {}
         self._plausible: Dict[Tuple[int, int], bool] = {}
         if cloud.dim != 1:     # rows are read again and again; 1-D balls slice _order
             cloud.dense()
@@ -238,44 +238,45 @@ class _Search:
             self._plausible[key] = ub >= self.l
         return self._plausible[key]
 
-    def subtree(self, point: int, level: int, rest: int) -> Optional[dict]:
-        """Assignment fragment of a depth-``rest`` subtree rooted at ``point``, or None."""
+    def subtree(self, point: int, level: int, rest: int) -> Optional[List[int]]:
+        """Children of ``point`` in a feasible depth-``rest`` subtree, or None: ``[]``
+        at rest 0, and for a strong family ``point`` itself first."""
         key = (point, level, rest)
-        if key in self._frag:
-            return self._frag[key]
+        if key in self._choice:
+            return self._choice[key]
         self._tick()
-        frag = self._expand(point, level, rest)
-        self._frag[key] = frag
-        return frag
+        choice = self._expand(point, level, rest)
+        self._choice[key] = choice
+        return choice
 
-    def _expand(self, point: int, level: int, rest: int) -> Optional[dict]:
+    def _expand(self, point: int, level: int, rest: int) -> Optional[List[int]]:
         if rest == 0:
-            return {(): point}
+            return []
         # cheapest rejection first: even the unfiltered pool cannot hold l
         # children at the required separation
         if not self._is_plausible(point, level, rest):
             return None
         sep = level_separation(self.k, level + 1)
         pool = _ball(self.cloud, point, child_radius(self.k, level), self.tol)
-        if self.strong and self.subtree(point, level + 1, rest - 1) is None:
+        pinned = [point] if self.strong else []    # a strong 0-child reuses the point
+        if any(self.subtree(q, level + 1, rest - 1) is None for q in pinned):
             return None
         cands = [int(q) for q in pool
-                 if (not self.strong or q != point)
-                 and self._is_plausible(int(q), level + 1, rest - 1)]
-        need = self.l - 1 if self.strong else self.l   # >= 1: search_regular needs l >= 2
+                 if q not in pinned and self._is_plausible(int(q), level + 1, rest - 1)]
+        need = self.l - len(pinned)    # >= 1: search_regular needs l >= 2
         if self._pack_upper_bound(np.asarray(cands, dtype=np.int64), sep) < need:
             return None
-        chosen0 = [point] if self.strong else []
-        children = self._find_children(cands, chosen0, sep, level, rest, need)
-        if children is None:
-            return None
-        ordered = ([point] + children) if self.strong else children
-        frag = {(): point}
-        for c, q in enumerate(ordered):
-            sub = self._frag[(q, level + 1, rest - 1)]
-            for lab, v in sub.items():
-                frag[(c,) + lab] = v
-        return frag
+        children = self._find_children(cands, pinned, sep, level, rest, need)
+        return None if children is None else pinned + children
+
+    def assignment(self, root: int, depth: int) -> Dict[Label, int]:
+        """The found family's label -> point map, read from the memo level by level."""
+        assign, nodes = {(): root}, [((), root)]
+        for level in range(depth):
+            nodes = [(lab + (c,), q) for lab, p in nodes
+                     for c, q in enumerate(self._choice[(p, level, depth - level)])]
+            assign.update(nodes)
+        return assign
 
     def _sep_ok(self, q: int, chosen: List[int], sep: float) -> bool:
         if not chosen:
@@ -283,7 +284,7 @@ class _Search:
         row = self.cloud.distances_from(q)
         return all(row[c] >= sep - self.tol for c in chosen)
 
-    def _find_children(self, cands: List[int], chosen0: List[int], sep: float,
+    def _find_children(self, cands: List[int], pinned: List[int], sep: float,
                        level: int, rest: int, need: int) -> Optional[List[int]]:
         """First feasible separated child set in ``cands`` order: leftmost-first
         by coordinate on 1-D clouds, lexicographic index order otherwise."""
@@ -291,7 +292,7 @@ class _Search:
             # Greedy leftmost is maximizing in 1-D even with a pinned seed:
             # replacing an optimal pick by an earlier compatible one only
             # grows every later gap.
-            chosen = list(chosen0)
+            chosen = list(pinned)
             picks: List[int] = []
             for q in cands:
                 if self._sep_ok(q, chosen, sep) and self.subtree(q, level + 1, rest - 1) is not None:
@@ -300,7 +301,7 @@ class _Search:
                     if len(picks) == need:
                         return picks
             return None
-        return self._dfs_children(cands, 0, list(chosen0), [], sep, level, rest, need)
+        return self._dfs_children(cands, 0, list(pinned), [], sep, level, rest, need)
 
     def _dfs_children(self, cands: List[int], pos: int, chosen: List[int],
                       picks: List[int], sep: float, level: int, rest: int,
@@ -346,11 +347,9 @@ def search_regular(cloud: PointCloud, k: int, l: int, depth: int,
     searcher = _Search(cloud, k, l, strong, budget, tol)
     try:
         for root in cloud._order.tolist() if cloud.dim == 1 else range(cloud.n):
-            frag = searcher.subtree(root, 0, depth)
-            if frag is not None:
-                family = RegularFamily(k, l, depth, strong, dict(frag))
-                report = verify_regular(cloud, family, tol)
-                if not report.ok:
+            if searcher.subtree(root, 0, depth) is not None:
+                family = RegularFamily(k, l, depth, strong, searcher.assignment(root, depth))
+                if not verify_regular(cloud, family, tol).ok:
                     raise RuntimeError(
                         "internal error: search produced a family failing verification")
                 return SearchResult(family, False, searcher.expansions)

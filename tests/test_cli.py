@@ -1,10 +1,13 @@
+import contextlib
 import json
 import os
 import subprocess
 import sys
+from io import StringIO
 
 import pytest
 
+import fracdim
 from fracdim import PointCloud, io
 from fracdim.__main__ import run
 from fracdim.cli import main
@@ -650,3 +653,51 @@ class TestDeterminismAndEntryPoint:
         bad.write_text("{not json")
         code, _, err = run_cli(capsys, "info", str(bad))
         assert code == 5
+
+
+class TestInProcessReplay:
+    """Jobs run through ``main`` under ``contextlib.redirect_stdout``, as an
+    in-process caller (perfbench's traced runs) captures them, which
+    ``capsys`` cannot tell apart from writes that go around ``sys.stdout``."""
+
+    JOBS = [
+        ["generate", "polarized", "--depth", "4", "--out", "p.json"],
+        ["generate", "cantor", "--level", "5", "--out", "c.json"],
+        ["info"],
+        ["info", "p.json"],
+        ["estimate", "c.json", "--r-min", "0.015625", "--r-max", "0.5", "--csv", "t.csv"],
+        ["estimate", "plane.json", "--r-min", "0.125", "--r-max", "1", "--mode", "greedy"],
+        ["certify", "p.json", "--k", "2", "--l", "2", "--depth", "4", "--out", "cert.json"],
+        ["certify", "p.json", "--k", "2", "--l", "2", "--depth", "4", "--strong",
+         "--out", "strong.json"],
+        ["verify", "p.json", "cert.json", "--scaling"],
+        ["embed", "tree.json", "--out", "t.json", "--depth-scan"],
+    ]
+
+    def test_matches_the_module_byte_for_byte(self, capfd, monkeypatch, tmp_path):
+        here, there = tmp_path / "in_process", tmp_path / "module"
+        for work in (here, there):
+            work.mkdir()
+            (work / "plane.json").write_text('{"metric": "euclidean", "points": '
+                                             '[[0, 0], [0.5, 0], [0, 0.25], [1, 1], [0.75, 0.5]]}')
+            (work / "tree.json").write_text("[[], [0], [1], [0, 0], [0, 1], [1, 0], [1, 1]]")
+        monkeypatch.chdir(here)
+        # the module runs from another directory, so it finds the package by an absolute path
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fracdim.__file__)))
+        codes = []
+        for argv in self.JOBS:
+            out, err = StringIO(), StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(list(argv))
+            assert capfd.readouterr() == ("", ""), argv
+            proc = subprocess.run([sys.executable, "-m", "fracdim", *argv], cwd=there, env=env,
+                                  capture_output=True, timeout=120)
+            assert (code, out.getvalue().encode(), err.getvalue().encode()) == (
+                proc.returncode, proc.stdout, proc.stderr), argv
+            codes.append(code)
+        assert codes == [0] * 7 + [3, 0, 0]
+        written = sorted(path.name for path in here.iterdir())
+        assert written == sorted(path.name for path in there.iterdir())
+        assert {"cert.json", "t.csv", "t.json"} <= set(written)
+        for name in written:
+            assert (here / name).read_bytes() == (there / name).read_bytes(), name

@@ -474,6 +474,58 @@ class TestFrozenSearch:
         res = search_regular(_grid_2d(), 3, 4, 2, strong=strong, budget=budget)
         assert _outcome(res) == expected
 
+    @pytest.mark.parametrize("l,expected", [
+        (2, (10, "found", _family_dict(3, 2, 2, True, [0, 0, 8, 0, 1, 8, 7]))),
+        (3, (21, "found", _family_dict(
+            3, 3, 2, True, [0, 0, 8, 128, 0, 1, 16, 8, 7, 9, 128, 112, 129]))),
+    ])
+    def test_grid_2d_strong_found(self, l, expected):
+        assert _outcome(search_regular(_grid_2d(), 3, l, 2, strong=True)) == expected
+
+    def test_dyadic_strong_found(self):
+        res = search_regular(dyadic_interval_cloud(10), 3, 2, 3, strong=True)
+        assert _outcome(res) == (15, "found", _family_dict(
+            3, 2, 3, True, [0, 0, 512, 0, 64, 512, 448, 0, 8, 64, 56, 512, 504, 448, 440]))
+
+    @pytest.mark.parametrize("depth,expected", [
+        (4, (77, "found", _family_dict(2, 2, 4, False, [
+            0, 1, 2, 5, 6, 7, 8, 21, 22, 23, 24, 25, 26, 27, 28, *range(85, 101)]))),
+        (5, (425, "absent", None)),
+    ])
+    def test_tree_embedding(self, depth, expected):
+        cloud = embed_tree(FiniteTree.full_tree(4, 2))
+        assert _outcome(search_regular(cloud, 2, 2, depth)) == expected
+
+    @pytest.mark.parametrize("cloud,k,l,depth,strong", [
+        ("polarized", 2, 2, 6, False), ("polarized", 2, 2, 6, True),
+        ("grid", 3, 2, 2, True), ("grid", 3, 3, 2, True), ("grid", 3, 4, 2, False),
+        ("dyadic", 3, 2, 3, True), ("tree", 2, 2, 5, False),
+    ])
+    def test_memo_holds_child_choices(self, monkeypatch, cloud, k, l, depth, strong):
+        # each memo value is a node's decision, None or its chosen children,
+        # never a copy of the subtree's labels
+        searches = []
+        init = regular_module._Search.__init__
+
+        def recording(self, *args):
+            init(self, *args)
+            searches.append(self)
+
+        monkeypatch.setattr(regular_module._Search, "__init__", recording)
+        make = {"polarized": lambda: polarized_example_cloud(6), "grid": _grid_2d,
+                "dyadic": lambda: dyadic_interval_cloud(10),
+                "tree": lambda: embed_tree(FiniteTree.full_tree(4, 2))}[cloud]
+        search_regular(make(), k, l, depth, strong=strong)
+        (memo,) = [s._choice for s in searches]
+        assert memo
+        for (point, level, rest), choice in memo.items():
+            if choice is None:
+                continue
+            assert type(choice) is list and all(type(q) is int for q in choice)
+            assert len(choice) == (l if rest else 0)
+            if strong and rest:
+                assert choice[0] == point
+
     def test_tree_depth_scan(self):
         cloud = embed_tree(FiniteTree.full_tree(3, 2))
         assert max_regular_depth(cloud, 2, 2, 5) == (3, False)
