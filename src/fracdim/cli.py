@@ -156,7 +156,7 @@ def _cmd_verify(args, cfg: RunConfig) -> int:
     payload["bound"] = dimension_bound(family.k, family.l) if report.ok else None
     if args.scaling and report.ok:
         payload["scaling_check"] = certificate_scaling_check(
-            cloud, family, tol=cfg.tol, exact_cutoff=cfg.exact_cutoff)
+            cloud, family, tol=cfg.tol, exact_cutoff=cfg.exact_cutoff, report=report)
     _emit(payload)
     return EXIT_OK if report.ok else EXIT_VERIFY_FAILED
 

@@ -11,21 +11,13 @@ same comparison in its bitset relation rows).  Every 1-D path reads the
 coordinate order (``_order``, and ``_line``, the coordinates in it),
 computed once whatever the storage order, and finds where a run ends with
 :func:`_run_end`, which compares the kernel's distances, as the validators
-and the verifier do.
-Only the certificate search holds the full distance matrix: it calls
-:meth:`PointCloud.dense`, which builds it on a coordinate cloud with
-n^2 <= ``_DENSE_CAP`` (n <= 2,896, at most 64 MB); matrix clouds use their
-own.  Every other read (``distances_from``, ``pairwise``, ``distance`` and
-the block scans behind diameters, the smallest gap, packing checks, greedy
-rows and the certificate verifier) reads the matrix when it is held and
-otherwise computes only what was asked, one block of rows at a time.  The
-cap was chosen from memory, not from a measured crossover: no benchmark
-workload has a generic cloud near or above it.
+and the verifier do.  No coordinate cloud holds its n x n distance matrix:
+every read computes only what was asked, one block of rows at a time, and a
+matrix cloud slices its own matrix.
 
-Coordinates, the stored matrix, the cached matrix and every returned row
-are read-only, so no caller can corrupt the cloud through a view.  The
-caches (diameter and distance matrix) are built once from immutable inputs
-and rebuilding them gives the same values, so concurrent use is safe.
+Coordinates, the stored matrix and every returned row are read-only, so no
+caller can corrupt the cloud through a view.  The one cache, the diameter,
+gives the same value however often it is computed, so concurrent use is safe.
 """
 from __future__ import annotations
 
@@ -44,8 +36,9 @@ METRICS = COORDINATE_METRICS + ("matrix",)
 # by deterministic sampling (10*n triples) above it.
 _TRIANGLE_EXHAUSTIVE_LIMIT = 1000
 
-# Coordinate clouds keep a dense distance matrix while n^2 stays within this
-# many entries (64 MB of float64); larger clouds recompute rows.
+# n^2 for an n x n float64 matrix of 64 MB: the certificate search holds bitset
+# rows within 8 * _DENSE_CAP bytes, and a greedy scan of m points packs its
+# relation up front while m^2 <= _DENSE_CAP.  Chosen from memory, not measured.
 _DENSE_CAP = 2 ** 23
 
 # A block of the distance kernel holds at most about this many float64 (1 MB)
@@ -71,14 +64,12 @@ class PointCloud:
         self.metric = metric
         self.meta = dict(meta) if meta else {}
         self._diam: Optional[float] = None
-        self._dense: Optional[np.ndarray] = None
         if metric == "matrix":
             if matrix is None:
                 raise ValueError("matrix mode requires a distance matrix")
             self.coords = None
             self.matrix = _validated_matrix(np.array(matrix, dtype=float), tol)
             self.matrix.setflags(write=False)
-            self._dense = self.matrix
             self.n = self.matrix.shape[0]
         else:
             if points is None:
@@ -112,21 +103,11 @@ class PointCloud:
         """
         return self.dim == 1 and bool(np.all(np.diff(self.coords[:, 0]) > 0))
 
-    def dense(self) -> Optional[np.ndarray]:
-        """The read-only n x n distance matrix, or None above ``_DENSE_CAP``:
-        a coordinate cloud builds it on first call and keeps it, a matrix cloud
-        returns its own.  The certificate search is the one caller."""
-        if self._dense is None and self.n * self.n <= _DENSE_CAP:
-            dense = _distance_block(self.coords, self.coords, self.metric)
-            dense.setflags(write=False)
-            self._dense = dense
-        return self._dense
-
     def distances_from(self, i: int) -> np.ndarray:
         """Read-only vector of distances from point ``i`` to every point."""
         self._check_index(i)
-        if self._dense is not None:
-            return self._dense[i]
+        if self.matrix is not None:
+            return self.matrix[i]
         _, block = next(_distance_blocks(self.coords[i:i + 1], self.coords, self.metric))
         block.setflags(write=False)
         return block[0]
@@ -136,15 +117,15 @@ class PointCloud:
         ``idx``), rows and columns in the given orders."""
         idx = np.asarray(idx, dtype=np.int64)
         cols = idx if cols is None else np.asarray(cols, dtype=np.int64)
-        if self._dense is not None:
-            return self._dense[np.ix_(idx, cols)]
+        if self.matrix is not None:
+            return self.matrix[np.ix_(idx, cols)]
         return _distance_block(self.coords[idx], self.coords[cols], self.metric)
 
     def distance(self, i: int, j: int) -> float:
         self._check_index(i)
         self._check_index(j)
-        if self._dense is not None:
-            return float(self._dense[i, j])
+        if self.matrix is not None:
+            return float(self.matrix[i, j])
         return float(_distance_block(self.coords[i:i + 1], self.coords[j:j + 1],
                                      self.metric)[0, 0])
 
@@ -152,18 +133,17 @@ class PointCloud:
         """Distances from the points ``idx`` (default all) to the points
         ``cols`` (default ``idx``) as (first row, block of rows) pairs.
 
-        Blocks are sliced from the distance matrix when it is already there
-        and recomputed otherwise; either way one block holds about
-        ``_BLOCK_ELEMENTS`` entries, and the matrix is never built here.
+        Blocks are sliced from a matrix cloud's matrix or computed; either
+        way one block holds about ``_BLOCK_ELEMENTS`` entries.
         """
         idx = np.arange(self.n) if idx is None else np.asarray(idx, dtype=np.int64)
         cols = idx if cols is None else np.asarray(cols, dtype=np.int64)
-        if self._dense is None:
+        if self.matrix is None:
             yield from _distance_blocks(self.coords[idx], self.coords[cols], self.metric)
             return
         rows = max(1, _BLOCK_ELEMENTS // max(1, cols.size))
         for start in range(0, idx.size, rows):
-            yield start, self._dense[np.ix_(idx[start:start + rows], cols)]
+            yield start, self.matrix[np.ix_(idx[start:start + rows], cols)]
 
     def diam(self) -> float:
         if self._diam is None:

@@ -10,34 +10,23 @@ hurts.  The sweeps run in coordinate order whatever the storage order,
 return sorted index arrays, and compare distances as the validators do
 (``cloud._run_end``).
 
-Callers that need only 1-D counts, not witnesses, use a doubling table
-instead: the sweep's jump ``i -> next_r[i]`` is composed with itself
-2^j times, so the counts of any number of contiguous ranges (for instance
-every center's ball) come out in one vectorized pass of O(log n) steps,
-O(n log n) per scale, with no parts built.
+Callers that need only 1-D counts, not witnesses, use the sweep's
+doubling table (:func:`_sweep_cover_counts`), with no parts built.
 
 One greedy rule serves two jobs: each part starts at the first uncovered
 point and takes, in scan order, every uncovered point related to all
 members so far.  Under ``d <= r + tol`` the parts are the greedy cover;
 the first part under ``d >= sep - tol`` is the greedy packing.  One scan,
-:func:`_scan`, builds the parts of one subset.  Subsets of up to 2,896
-points hold the relation as one bitset per row, packed with any other
-thresholds' rows from one pass over the distances; larger ones compute
-each new member's distances to the remaining candidates only.  The scan
-may start from a mask, so one relation's rows scan any subset (a ball,
-say).  Exact packing builds one bitset relation per solve; exact
-cover search runs on given rows within a mask, with the scan as its upper
-bound and the separated bound as its lower: the first greedy part of the
-mask under the complement ``d > r + tol``, points no part holds two of.
+:func:`_scan`, builds the parts of one subset, within a mask of the rows of
+one relation, bitsets packed from one pass over the distances (see
+:func:`_greedy_parts` for subsets too large for that); the certificate
+search scans its pools on whole-cloud rows (:func:`_greedy_cover_parts`).
+Exact cover search runs on given rows within a mask, with the scan as its
+upper bound and :func:`_separated_lower_bound` as its lower.
 
-:func:`_ball_counts` is the one ball-count kernel: N_r(B(x, R)) for every
-x in a point set and every (R, r), for the estimate (the whole cloud) and
-the scaling check (a certificate's deepest level).  Exact and certified
-counts go ball by ball through a given count function.  Greedy counts
-need no parts, so :func:`_greedy_counts` runs the scan of every ball that
-shares an r at once, in one pass over the points in index order, with the
-same numbers as scanning each ball.  Private helpers take index arrays,
-and witnesses are reproducible across runs and platforms.
+:func:`_ball_counts` is the one ball-count kernel: N_r(B(x, R)) for every x
+in a point set and every (R, r), for the estimate and the scaling check.
+Private helpers take index arrays, and witnesses are reproducible.
 """
 from __future__ import annotations
 
@@ -257,10 +246,10 @@ def _greedy_parts_by_candidates(cloud: PointCloud, idx: np.ndarray,
     return parts
 
 
-def _greedy_cover_parts(cloud: PointCloud, idx: np.ndarray, r: float,
-                        tol: float) -> List[np.ndarray]:
-    """Maximal diameter-<=r parts of ``idx``: the greedy scan under d <= r + tol."""
-    return _greedy_parts(cloud, idx, lambda d: d <= r + tol)
+def _greedy_cover_parts(rows, mask: int) -> List[List[int]]:
+    """The greedy parts (:func:`_scan`) of ``mask``'s positions under ``rows``, a list or map."""
+    members, ends = _scan(rows, mask)
+    return [members[a:b] for a, b in zip(ends, ends[1:])]
 
 
 def _greedy_pack_indices(cloud: PointCloud, idx: np.ndarray, sep: float,
@@ -426,7 +415,7 @@ def covering_number(subset: Subset, r: float, mode: str = "auto",
         _refuse_above_cutoff("covering", idx.size, exact_cutoff)
         parts = _bb_min_clique_cover(cloud, idx, r, tol)
     else:
-        parts, exact = _greedy_cover_parts(cloud, idx, r, tol), False
+        parts, exact = _greedy_parts(cloud, idx, lambda d: d <= r + tol), False
     return CoverResult(len(parts), [Subset(cloud, p) for p in parts], exact)
 
 

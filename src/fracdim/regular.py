@@ -16,20 +16,23 @@ the split level j, which dominates every deeper requirement), subtrees are
 feasible or not independently of their siblings; the search memoizes each
 node's decision per (point, level, remaining-depth), None or its chosen
 children, and is exhaustive whenever the node-expansion budget is not hit.
-A found family is read off the memo from its root and then re-verified.
+A found family is read off the memo from its root and then re-verified.  Off
+1-D clouds the search reads each point's distances once, into bitset rows.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from . import cloud as _cloud
 from .cloud import PointCloud, Subset, _ball, _upper
 from .config import (_JSON_CHECKS, DEFAULT_BUDGET, DEFAULT_EXACT_CUTOFF, DEFAULT_TOL,
                      _checked_object)
-from .covering import (_ball_counts, _greedy_cover_parts, _min_clique_cover,
+from .covering import (_ball_counts, _greedy_cover_parts, _min_clique_cover, _packed_ints,
                        _separated_lower_bound, _sweep_pack)
 
 Label = Tuple[int, ...]
@@ -194,38 +197,73 @@ class _BudgetExhausted(Exception):
 
 
 class _Search:
-    def __init__(self, cloud: PointCloud, k: int, l: int, strong: bool,
-                 budget: int, tol: float):
-        self.cloud = cloud
-        self.k = k
-        self.l = l
-        self.strong = strong
-        self.budget = budget
-        self.tol = tol
-        self.expansions = 0
-        self._choice: Dict[Tuple[int, int, int], Optional[List[int]]] = {}
-        self._plausible: Dict[Tuple[int, int], bool] = {}
-        if cloud.dim != 1:     # rows are read again and again; 1-D balls slice _order
-            cloud.dense()
+    """A search session on one cloud, k, l, strong and tol, for depths up to
+    ``levels``.  Each search has its own budget and choice memo; the rows and
+    the lookahead and pack memos do not depend on the depth and serve them all.
+    Off 1-D clouds, the first touch of a point q reads its distances once into
+    three bitset rows (bit u = point u) per level n: the child ball
+    ``d <= child_radius(n) + tol``, the pack relation ``d <= (sep - 3*tol) + tol``
+    and separation ``d >= sep - tol``, sep being level n + 1's.  Points keep their
+    rows while all fit in 8 * ``_DENSE_CAP`` bytes (the n x n matrix's 64 MB).
+    """
+
+    def __init__(self, cloud: PointCloud, k: int, l: int, strong: bool, tol: float,
+                 levels: int):
+        if k < 2 or l < 2:
+            raise ValueError("need k >= 2 and l >= 2")
+        self.cloud, self.k, self.l, self.strong, self.tol = self.key = (cloud, k, l, strong, tol)
+        self.levels, self._width = levels, (cloud.n + 7) // 8
+        # (point, level) -> lookahead, (level, candidates) -> pack bound, point -> rows
+        self._plausible, self._packs, self._held = {}, {}, {}
+        self._bounds: List[Tuple[float, float, float]] = []
+        for n in range(levels):
+            sep = level_separation(k, n + 1)
+            self._bounds.append((child_radius(k, n) + tol, (sep - 3 * tol) + tol, sep - tol))
+            if self._bounds[-1] == (0.0 + tol, (0.0 - 3 * tol) + tol, 0.0 - tol):
+                break   # every deeper level compares alike and reads these rows
+        row_bytes = 3 * len(self._bounds) * sys.getsizeof((1 << cloud.n) - 1)
+        self._hold = 8 * _cloud._DENSE_CAP // max(1, row_bytes)
 
     def _tick(self) -> None:
         self.expansions += 1
         if self.expansions > self.budget:
             raise _BudgetExhausted
 
-    def _pack_upper_bound(self, indices: np.ndarray, sep: float) -> int:
-        """Upper bound on the size of a sep-separated subset of ``indices``
-        (in coordinate order on 1-D clouds, as ``_ball`` gives them)."""
-        m = int(indices.size)
+    def _row(self, q: int, level: int, kind: int) -> int:
+        """q's bitset row ``kind`` (0 child ball, 1 pack relation, 2 separation)."""
+        rows = self._held.get(q)
+        if rows is None:
+            d = self.cloud.distances_from(q)
+            rows = _packed_ints(np.packbits([rel for ball, pack, sep in self._bounds
+                                             for rel in (d <= ball, d <= pack, d >= sep)],
+                                            axis=1, bitorder="little"))
+            if len(self._held) < self._hold:
+                self._held[q] = rows
+        return rows[3 * min(level, len(self._bounds) - 1) + kind]
+
+    def _pool(self, point: int, level: int):
+        """Candidate children of ``point`` at ``level``, in search order."""
+        if self.cloud.dim == 1:
+            return _ball(self.cloud, point, child_radius(self.k, level), self.tol)
+        row = np.frombuffer(self._row(point, level, 0).to_bytes(self._width, "little"), np.uint8)
+        return np.flatnonzero(np.unpackbits(row, bitorder="little")).tolist()
+
+    def _pack_upper_bound(self, level: int, cands) -> int:
+        """Upper bound on the size of a separated subset of the pool ``cands``."""
+        m, sep = len(cands), level_separation(self.k, level + 1)
         if m <= 1:
             return m
         if self.cloud.dim == 1:
-            return len(_sweep_pack(self.cloud.coords[indices, 0], sep, self.tol))
+            return len(_sweep_pack(self.cloud.coords[cands, 0], sep, self.tol))
         # Any cover by parts of diameter < sep admits at most one separated
         # point per part, so a greedy cover count bounds the packing.
         if sep <= 3 * self.tol:
             return m
-        return len(_greedy_cover_parts(self.cloud, indices, sep - 3 * self.tol, self.tol))
+        key = (level, tuple(cands))
+        if key not in self._packs:
+            rows = {q: self._row(q, level, 1) for q in cands}
+            self._packs[key] = len(_greedy_cover_parts(rows, sum(1 << q for q in cands)))
+        return self._packs[key]
 
     def _is_plausible(self, point: int, level: int, rest: int) -> bool:
         """One-step lookahead: necessary condition for a feasible subtree."""
@@ -233,9 +271,7 @@ class _Search:
             return True
         key = (point, level)
         if key not in self._plausible:
-            pool = _ball(self.cloud, point, child_radius(self.k, level), self.tol)
-            ub = self._pack_upper_bound(pool, level_separation(self.k, level + 1))
-            self._plausible[key] = ub >= self.l
+            self._plausible[key] = self._pack_upper_bound(level, self._pool(point, level)) >= self.l
         return self._plausible[key]
 
     def subtree(self, point: int, level: int, rest: int) -> Optional[List[int]]:
@@ -245,8 +281,7 @@ class _Search:
         if key in self._choice:
             return self._choice[key]
         self._tick()
-        choice = self._expand(point, level, rest)
-        self._choice[key] = choice
+        choice = self._choice[key] = self._expand(point, level, rest)
         return choice
 
     def _expand(self, point: int, level: int, rest: int) -> Optional[List[int]]:
@@ -256,17 +291,15 @@ class _Search:
         # children at the required separation
         if not self._is_plausible(point, level, rest):
             return None
-        sep = level_separation(self.k, level + 1)
-        pool = _ball(self.cloud, point, child_radius(self.k, level), self.tol)
         pinned = [point] if self.strong else []    # a strong 0-child reuses the point
         if any(self.subtree(q, level + 1, rest - 1) is None for q in pinned):
             return None
-        cands = [int(q) for q in pool
-                 if q not in pinned and self._is_plausible(int(q), level + 1, rest - 1)]
+        cands = [q for q in map(int, self._pool(point, level))
+                 if q not in pinned and self._is_plausible(q, level + 1, rest - 1)]
         need = self.l - len(pinned)    # >= 1: search_regular needs l >= 2
-        if self._pack_upper_bound(np.asarray(cands, dtype=np.int64), sep) < need:
+        if self._pack_upper_bound(level, cands) < need:
             return None
-        children = self._find_children(cands, pinned, sep, level, rest, need)
+        children = self._find_children(cands, pinned, level, rest, need)
         return None if children is None else pinned + children
 
     def assignment(self, root: int, depth: int) -> Dict[Label, int]:
@@ -278,50 +311,42 @@ class _Search:
             assign.update(nodes)
         return assign
 
-    def _sep_ok(self, q: int, chosen: List[int], sep: float) -> bool:
-        if not chosen:
-            return True
-        row = self.cloud.distances_from(q)
-        return all(row[c] >= sep - self.tol for c in chosen)
-
-    def _find_children(self, cands: List[int], pinned: List[int], sep: float,
-                       level: int, rest: int, need: int) -> Optional[List[int]]:
+    def _find_children(self, cands: List[int], pinned: List[int], level: int, rest: int,
+                       need: int) -> Optional[List[int]]:
         """First feasible separated child set in ``cands`` order: leftmost-first
         by coordinate on 1-D clouds, lexicographic index order otherwise."""
         if self.cloud.dim == 1:
             # Greedy leftmost is maximizing in 1-D even with a pinned seed:
             # replacing an optimal pick by an earlier compatible one only
             # grows every later gap.
-            chosen = list(pinned)
-            picks: List[int] = []
+            sep, picks = level_separation(self.k, level + 1), []
             for q in cands:
-                if self._sep_ok(q, chosen, sep) and self.subtree(q, level + 1, rest - 1) is not None:
+                chosen = pinned + picks
+                if chosen and self.cloud.distances_from(q)[chosen].min() < sep - self.tol:
+                    continue
+                if self.subtree(q, level + 1, rest - 1) is not None:
                     picks.append(q)
-                    chosen.append(q)
                     if len(picks) == need:
                         return picks
             return None
-        return self._dfs_children(cands, 0, list(pinned), [], sep, level, rest, need)
+        return self._dfs_children(cands, 0, sum(1 << q for q in pinned), [], level, rest, need)
 
-    def _dfs_children(self, cands: List[int], pos: int, chosen: List[int],
-                      picks: List[int], sep: float, level: int, rest: int,
-                      need: int) -> Optional[List[int]]:
+    def _dfs_children(self, cands: List[int], pos: int, chosen: int, picks: List[int],
+                      level: int, rest: int, need: int) -> Optional[List[int]]:
+        """:meth:`_find_children` off 1-D clouds; ``chosen`` masks the pinned point and picks."""
         if len(picks) == need:
             return list(picks)
         if len(picks) + (len(cands) - pos) < need:
             return None
         for i in range(pos, len(cands)):
             q = cands[i]
-            if not self._sep_ok(q, chosen, sep):
-                continue
-            if self.subtree(q, level + 1, rest - 1) is None:
+            if (chosen and self._row(q, level, 2) & chosen != chosen
+                    or self.subtree(q, level + 1, rest - 1) is None):
                 continue
             self._tick()
-            chosen.append(q)
             picks.append(q)
-            found = self._dfs_children(cands, i + 1, chosen, picks, sep, level, rest, need)
+            found = self._dfs_children(cands, i + 1, chosen | 1 << q, picks, level, rest, need)
             picks.pop()
-            chosen.pop()
             if found is not None:
                 return found
             # exclude q and keep scanning: q may block too many later picks
@@ -330,21 +355,24 @@ class _Search:
 
 def search_regular(cloud: PointCloud, k: int, l: int, depth: int,
                    strong: bool = False, budget: int = DEFAULT_BUDGET,
-                   tol: float = DEFAULT_TOL) -> SearchResult:
+                   tol: float = DEFAULT_TOL, session: Optional[_Search] = None) -> SearchResult:
     """Search for a (k, l)-regular family of the given depth.
 
     Roots are tried in index order, child sets in lexicographic index order,
     and both leftmost-first by coordinate on 1-D clouds, so the first
     success is deterministic.  The found family is re-verified against the
-    definition before being returned.
+    definition before being returned.  ``session``, a ``_Search`` of this
+    cloud, k, l, strong and tol for at least ``depth`` levels, lends the search
+    its rows and memos (:func:`fracdim.trees.max_regular_depth`).
     """
-    if k < 2 or l < 2:
-        raise ValueError("need k >= 2 and l >= 2")
+    searcher = _Search(cloud, k, l, strong, tol, depth) if session is None else session
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    searcher = _Search(cloud, k, l, strong, budget, tol)
+    if searcher.key != (cloud, k, l, strong, tol) or depth > searcher.levels:
+        raise ValueError("the search session is for another cloud, parameters or depth")
+    searcher.budget, searcher.expansions, searcher._choice = budget, 0, {}
     try:
         for root in cloud._order.tolist() if cloud.dim == 1 else range(cloud.n):
             if searcher.subtree(root, 0, depth) is not None:
@@ -382,7 +410,8 @@ def level_points(family: RegularFamily, n: int, cloud: PointCloud) -> Subset:
 
 def certificate_scaling_check(cloud: PointCloud, family: RegularFamily,
                               tol: float = DEFAULT_TOL,
-                              exact_cutoff: int = DEFAULT_EXACT_CUTOFF) -> bool:
+                              exact_cutoff: int = DEFAULT_EXACT_CUTOFF,
+                              report: Optional[RegularityReport] = None) -> bool:
     """Machine-check the covering-count chain behind the certified bound.
 
     For every deepest-level point x and every scale-bracket index pair
@@ -394,10 +423,10 @@ def certificate_scaling_check(cloud: PointCloud, family: RegularFamily,
     size above it.  Every count comes from the ball-count kernel,
     :func:`fracdim.covering._ball_counts`, over the deepest level: on 1-D
     clouds the covering sweep's doubling table (exact), on other clouds one
-    relation per probe scale over the deepest level.
+    relation per probe scale over the deepest level.  A ``report`` of
+    :func:`verify_regular` on this cloud, family and tol spares verifying again.
     """
-    report = verify_regular(cloud, family, tol)
-    if not report.ok:
+    if not (report or verify_regular(cloud, family, tol)).ok:
         raise ValueError("certificate_scaling_check requires a verified family")
     k, l, depth = family.k, family.l, family.depth
     deepest = level_points(family, depth, cloud).indices

@@ -17,7 +17,7 @@ import numpy as np
 
 from .cloud import PointCloud
 from .config import DEFAULT_BUDGET, DEFAULT_TOL
-from .regular import RegularFamily, SearchResult, label_str, search_regular
+from .regular import RegularFamily, SearchResult, _Search, label_str, search_regular
 
 Node = Tuple[int, ...]
 
@@ -129,14 +129,15 @@ def max_regular_depth(cloud: PointCloud, k: int, l: int, cap: int,
     Truncation closes the family class, so depths are tried in increasing
     order and the first failure is conclusive unless some search exhausted
     its budget (then the value is only a lower bound and the flag is True).
+    All depths share one search session, which changes no search's expansions.
     """
     if cap < 0:
         raise ValueError("cap must be nonnegative")
-    exhausted = False
-    best = -1
+    session = _Search(cloud, k, l, strong, tol, cap)
+    exhausted, best = False, -1
     for depth in range(cap + 1):
         res: SearchResult = search_regular(cloud, k, l, depth, strong=strong,
-                                           budget=budget, tol=tol)
+                                           budget=budget, tol=tol, session=session)
         exhausted = exhausted or res.exhausted
         if res.family is None:
             break

@@ -291,37 +291,30 @@ class TestConstruction:
         assert list(sub.indices) == [2, 5, 9]
 
 
-def _above_cap(monkeypatch, cloud):
-    """Lower the dense cap so that ``cloud`` recomputes its rows."""
-    monkeypatch.setattr(cloud_module, "_DENSE_CAP", cloud.n * cloud.n - 1)
-    assert cloud.dense() is None
+def _holds_no_matrix(cloud):
+    """True when no attribute of ``cloud`` is an n x n array."""
+    return not any(getattr(v, "shape", None) == (cloud.n, cloud.n) for v in vars(cloud).values())
 
 
 class TestDistanceLayer:
-    """The dense cache, row recomputation and submatrices against per-row arithmetic."""
+    """Computed rows, a matrix cloud's sliced rows and submatrices against
+    per-row arithmetic."""
 
     @pytest.mark.parametrize("metric", ["euclidean", "l1"])
     @pytest.mark.parametrize("d", [1, 2, 3, 5, 9, 50])
-    def test_dense_and_rows_match_per_row_arithmetic(self, monkeypatch, d, metric):
+    def test_dense_and_rows_match_per_row_arithmetic(self, d, metric):
         rng = np.random.default_rng(d)
         # 301 points: not a multiple of the kernel's block rows for any d here
         coords = rng.normal(size=(301, d)) * rng.uniform(0.1, 100.0)
         expected = np.stack([distance_row_oracle(coords, i, metric) for i in range(301)])
-        cloud = PointCloud(coords, metric=metric)
-        assert np.array_equal(cloud.dense(), expected)
-        for i in (0, 150, 300):
-            assert np.array_equal(cloud.distances_from(i), expected[i])
         idx = np.array([299, 3, 3, 77])
-        assert np.array_equal(cloud.pairwise(idx), expected[np.ix_(idx, idx)])
-        diam, gap = cloud.diam(), cloud.min_positive_gap()
-
-        fresh = PointCloud(coords, metric=metric)
-        _above_cap(monkeypatch, fresh)
-        for i in (0, 150, 300):
-            assert np.array_equal(fresh.distances_from(i), expected[i])
-        assert np.array_equal(fresh.pairwise(idx), expected[np.ix_(idx, idx)])
-        assert fresh.diam() == diam == expected.max()
-        assert fresh.min_positive_gap() == gap == expected[np.triu_indices(301, 1)].min()
+        # a matrix cloud of the same distances slices what the coordinate cloud computes
+        for cloud in (PointCloud(coords, metric=metric), PointCloud.from_matrix(expected)):
+            for i in (0, 150, 300):
+                assert np.array_equal(cloud.distances_from(i), expected[i])
+            assert np.array_equal(cloud.pairwise(idx), expected[np.ix_(idx, idx)])
+            assert cloud.diam() == expected.max()
+            assert cloud.min_positive_gap() == expected[np.triu_indices(301, 1)].min()
 
     @pytest.mark.parametrize("lowered_cap", [False, True])
     def test_scans_hold_one_block(self, monkeypatch, lowered_cap):
@@ -329,8 +322,8 @@ class TestDistanceLayer:
         coords = rng.normal(size=(301, 3))
         expected = np.stack([distance_row_oracle(coords, i, "euclidean") for i in range(301)])
         cloud = PointCloud(coords)
-        if lowered_cap:
-            _above_cap(monkeypatch, cloud)
+        if lowered_cap:     # the cap bounds no coordinate cloud's reads
+            monkeypatch.setattr(cloud_module, "_DENSE_CAP", cloud.n * cloud.n - 1)
         monkeypatch.setattr(cloud_module, "_BLOCK_ELEMENTS", 7 * 301 * 3)  # 7 full rows
         kernel, sizes = cloud_module._distance_blocks, []
 
@@ -354,22 +347,20 @@ class TestDistanceLayer:
         pack = PackResult(idx.size, sub, False)
         assert validate_packing(pack, sep, tol=0.0)
         assert not validate_packing(pack, np.nextafter(sep, np.inf), tol=0.0)
-        assert cloud._dense is None          # no scan built the matrix
+        assert _holds_no_matrix(cloud)       # no scan built the matrix
         assert sizes and max(sizes) <= 7 * 301
 
-    def test_rows_are_read_only(self, monkeypatch):
+    def test_rows_are_read_only(self):
         dmat = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+        held = PointCloud.from_matrix(dmat)
         small = PointCloud([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
-        big = PointCloud([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
-        assert small.dense() is not None     # built before the cap is lowered
-        _above_cap(monkeypatch, big)
-        for cloud in (PointCloud.from_matrix(dmat), small, big):
+        for cloud in (held, small):
             row = cloud.distances_from(0)
             with pytest.raises(ValueError):
                 row[1] = 99.0
             assert cloud.distance(0, 1) == 1.0
         with pytest.raises(ValueError):
-            small.dense()[0, 1] = 99.0
+            held.matrix[0, 1] = 99.0
         with pytest.raises(ValueError):
             small.coords[0, 0] = 99.0
 

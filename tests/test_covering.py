@@ -18,7 +18,7 @@ from fracdim import (PointCloud, RegularFamily, ScaleWindow, Subset, cantor_clou
                      verify_regular)
 from fracdim.covering import (CoverResult, PackResult, _ball_counts, _bb_max_separated,
                               _bb_min_clique_cover, _greedy_cover_parts, _greedy_pack_indices,
-                              _min_clique_cover, _relation_rows, _scan, _separated_lower_bound,
+                              _greedy_parts, _min_clique_cover, _relation_rows, _scan, _separated_lower_bound,
                               _sweep_cover_counts, _sweep_cover_parts)
 from oracles import (bb_max_separated_oracle, bb_min_clique_cover_oracle,
                      certified_cover_count_1d, distance_row_oracle, exact_cover_oracle,
@@ -246,6 +246,17 @@ class TestSweepCoverCounts:
         assert counts.tolist() == [1] == [certified_cover_count_1d(x, 0.3)]
 
 
+def _cover_parts(cloud, idx, r):
+    """The greedy parts of ``idx`` under d <= r + tol, as index arrays: the scan
+    of ``covering_number``, after checking that the bitset form the certificate
+    search calls, on ``idx``'s relation rows, gives the same parts."""
+    parts = _greedy_parts(cloud, idx, lambda d: d <= r + TOL)
+    [rows] = _relation_rows(cloud, idx, lambda d: d <= r + TOL)
+    assert [idx[p].tolist() for p in _greedy_cover_parts(rows, (1 << idx.size) - 1)] == \
+        [p.tolist() for p in parts]
+    return parts
+
+
 class TestGreedyCoverParts:
     """The bitset scan of the compatibility matrix against the row-by-row greedy scan."""
 
@@ -267,9 +278,9 @@ class TestGreedyCoverParts:
         idx = np.asarray(sorted(keep), dtype=np.int64)
         dmat = np.stack([distance_row_oracle(coords, i, metric) for i in range(len(cells))])
         expected = [idx[p].tolist() for p in greedy_cover_oracle(dmat[np.ix_(idx, idx)], r, TOL)]
-        assert [p.tolist() for p in _greedy_cover_parts(cloud, idx, r, TOL)] == expected
+        assert [p.tolist() for p in _cover_parts(cloud, idx, r)] == expected
         with mock.patch.object(cloud_module, "_DENSE_CAP", 0):   # the candidate scan
-            assert [p.tolist() for p in _greedy_cover_parts(cloud, idx, r, TOL)] == expected
+            assert [p.tolist() for p in _cover_parts(cloud, idx, r)] == expected
 
     @pytest.mark.parametrize("block, cap", [(None, None), (100, None), (1000, None),
                                             (None, 69 * 69)])
@@ -282,9 +293,9 @@ class TestGreedyCoverParts:
         cloud = PointCloud.from_matrix(dmat)
         for r in (0.1, 0.3, 0.6):
             expected = [p.tolist() for p in greedy_cover_oracle(dmat, r, TOL)]
-            got = _greedy_cover_parts(cloud, np.arange(70), r, TOL)
+            got = _cover_parts(cloud, np.arange(70), r)
             assert [p.tolist() for p in got] == expected
-        assert _greedy_cover_parts(cloud, np.empty(0, dtype=np.int64), 0.1, TOL) == []
+        assert _cover_parts(cloud, np.empty(0, dtype=np.int64), 0.1) == []
 
     @pytest.mark.parametrize("metric", ["euclidean", "l1"])
     def test_coordinate_cloud_above_cap(self, monkeypatch, metric):
@@ -299,7 +310,6 @@ class TestGreedyCoverParts:
             res = covering_number(sub, r, mode="greedy")
             assert [p.indices.tolist() for p in res.parts] == expected
             assert validate_cover(sub, res, r)
-        assert cloud.dense() is None
 
 
 def _separated_family(cloud, idx, radius):
@@ -482,7 +492,7 @@ class TestBitsetExactSolvers:
     def test_paths(self, cells, keep, steps, greedy, bound, exact):
         cloud, idx, dmat = _grid_instance(cells, "euclidean", keep)
         r = steps / 8.0
-        assert len(_greedy_cover_parts(cloud, idx, r, TOL)) == greedy
+        assert len(_cover_parts(cloud, idx, r)) == greedy
         assert len(_separated_family(cloud, idx, r)) == bound
         assert len(_bb_min_clique_cover(cloud, idx, r, TOL)) == exact
         assert _exact_solves(cloud, idx, r) == _exact_oracles(dmat, idx, r)
@@ -562,15 +572,12 @@ class TestBallCounts:
                           dtype=np.int64).reshape(idx.size, len(pairs))
         expected.update({None: greedy, _scan_count: greedy})
         for count, want in expected.items():
-            held = fresh()
-            held.dense()    # blocks are sliced from the held matrix
+            held = PointCloud.from_matrix(dmat)     # blocks are sliced from its matrix
             assert _ball_counts(held, idx, pairs, TOL, count).tolist() == want.tolist()
             with mock.patch.object(cloud_module, "_BLOCK_ELEMENTS", 8):   # one row per block
                 assert _ball_counts(fresh(), idx, pairs, TOL, count).tolist() == want.tolist()
-            with mock.patch.object(cloud_module, "_DENSE_CAP", 0):   # no matrix to slice
-                capped = fresh()
-                assert _ball_counts(capped, idx, pairs, TOL, count).tolist() == want.tolist()
-                assert (capped.dense() is None) == (metric != "matrix")
+            with mock.patch.object(cloud_module, "_DENSE_CAP", 0):   # the cap bounds no read
+                assert _ball_counts(fresh(), idx, pairs, TOL, count).tolist() == want.tolist()
 
     def test_greedy_reads_balls_by_column(self):
         # symmetric only within tol: 1 lies in B(0, 1), as d(0, 1) = 1 + tol, but

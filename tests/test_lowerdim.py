@@ -184,19 +184,18 @@ class TestGreedyRelationRows:
         assert rep.counts.tolist() == greedy_estimate_counts_oracle(dmat, rep.pairs) == [[3], [2], [3]]
 
     def test_above_dense_cap(self, monkeypatch):
-        # 3,600 distances exceed a cap of 2^10: the capped cloud never holds
-        # the matrix and recomputes every relation's blocks
+        # 3,600 distances exceed a cap of 2^10: the coordinate cloud computes
+        # every relation's blocks, which the matrix cloud of its distances slices
         rng = np.random.default_rng(18)
         cells = rng.choice(64 * 64, size=60, replace=False)
         pts = np.stack([cells // 64, cells % 64], axis=1) / 64.0
         w = ScaleWindow(1 / 32, 1 / 2)
-        uncapped = PointCloud(pts)
-        uncapped.dense()    # its relations slice the held matrix
-        expected = lower_dim_estimate(uncapped, w, mode="greedy")
+        held = PointCloud.from_matrix(
+            np.stack([distance_row_oracle(pts, i, "euclidean") for i in range(60)]))
+        expected = lower_dim_estimate(held, w, mode="greedy")
         monkeypatch.setattr(cloud_module, "_DENSE_CAP", 2 ** 10)
         capped = PointCloud(pts)
         got = lower_dim_estimate(capped, w, mode="greedy")
-        assert capped.dense() is None
         assert len(got.table) == 60 * len(w.pairs()) and got.table == expected.table
         assert (got.alpha_hat, got.argmin) == (expected.alpha_hat, expected.argmin)
 

@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -81,15 +83,16 @@ class TestVerify:
         # level 2 sits on the 4 x 4 lattice of spacing 1/4, exactly separated,
         # with three plants: label 1 one step toward label 0, label 9 on
         # label 3's point, label 14 one step toward label 15.  At one row per
-        # recomputed block (two per block of the held matrix) each plant lies
-        # in its own block; the level-1 corners are all closer than 1.
+        # computed block (two per block sliced from a matrix cloud's matrix)
+        # each plant lies in its own block; the level-1 corners are all closer than 1.
         cloud = _grid_2d()
+        coords = cloud.coords
+        if held:
+            cloud = _matrix_twin(coords, "euclidean")
         lattice = [64 * a + 4 * b for a in range(4) for b in range(4)]
         lattice[1], lattice[9], lattice[14] = lattice[1] - 1, lattice[3], lattice[14] + 1
         labels = [lab for n in range(3) for lab in itertools.product(range(4), repeat=n)]
         fam = RegularFamily(2, 4, 2, False, dict(zip(labels, [0, 0, 15, 240, 255] + lattice)))
-        if held:
-            cloud.dense()
         monkeypatch.setattr(cloud_module, "_BLOCK_ELEMENTS", 32)
         scan, shapes = PointCloud._blocks, []
 
@@ -105,7 +108,7 @@ class TestVerify:
         monkeypatch.setattr(PointCloud, "pairwise", no_pairwise)
         report = verify_regular(cloud, fam)
         expected = {n: separation_violations_oracle(
-            cloud.coords, "euclidean", [fam.assign[s] for s in fam.labels_at(n)],
+            coords, "euclidean", [fam.assign[s] for s in fam.labels_at(n)],
             regular_module.level_separation(2, n)) for n in (1, 2)}
         assert [(a, b) for a, b, _ in expected[2]] == [(0, 1), (3, 9), (14, 15)]
         assert [(v.s, v.t, v.measured) for v in report.violations if v.kind == "sep"] == [
@@ -113,13 +116,32 @@ class TestVerify:
             for n in (1, 2) for a, b, d in expected[n]]
         assert max(rows * cols for rows, cols in shapes) <= 32
         assert sum(cols == 16 for _, cols in shapes) >= 8     # level 2 spans 8 or 16 blocks
-        assert (cloud._dense is not None) == held
+
+
+@pytest.fixture
+def sessions(monkeypatch):
+    """Every search session (``_Search``) built while the test runs."""
+    made, init = [], regular_module._Search.__init__
+
+    def recording(self, *args):
+        init(self, *args)
+        made.append(self)
+
+    monkeypatch.setattr(regular_module._Search, "__init__", recording)
+    return made
 
 
 class TestSearch:
     def test_two_point_absent(self, two_points):
         res = search_regular(two_points, 2, 2, 2)
         assert res.family is None and not res.exhausted
+
+    def test_absurd_depth_packs_few_levels(self, sessions):
+        # from about level 47 on, k = 2 thresholds round to the same floats,
+        # so those levels share one set of rows instead of a million
+        res = search_regular(_grid_2d(), 2, 2, 10 ** 6)
+        assert res.family is None and not res.exhausted
+        assert len(sessions[-1]._bounds) < 50
 
     def test_grid_6_16(self):
         cloud = dyadic_interval_cloud(10)
@@ -501,22 +523,14 @@ class TestFrozenSearch:
         ("grid", 3, 2, 2, True), ("grid", 3, 3, 2, True), ("grid", 3, 4, 2, False),
         ("dyadic", 3, 2, 3, True), ("tree", 2, 2, 5, False),
     ])
-    def test_memo_holds_child_choices(self, monkeypatch, cloud, k, l, depth, strong):
+    def test_memo_holds_child_choices(self, sessions, cloud, k, l, depth, strong):
         # each memo value is a node's decision, None or its chosen children,
         # never a copy of the subtree's labels
-        searches = []
-        init = regular_module._Search.__init__
-
-        def recording(self, *args):
-            init(self, *args)
-            searches.append(self)
-
-        monkeypatch.setattr(regular_module._Search, "__init__", recording)
         make = {"polarized": lambda: polarized_example_cloud(6), "grid": _grid_2d,
                 "dyadic": lambda: dyadic_interval_cloud(10),
                 "tree": lambda: embed_tree(FiniteTree.full_tree(4, 2))}[cloud]
         search_regular(make(), k, l, depth, strong=strong)
-        (memo,) = [s._choice for s in searches]
+        (memo,) = [s._choice for s in sessions]
         assert memo
         for (point, level, rest), choice in memo.items():
             if choice is None:
@@ -551,7 +565,6 @@ class TestFrozenSearch:
         monkeypatch.setattr(cloud_module, "_BLOCK_ELEMENTS", 2 * 16 * cloud.dim)
         cloud = PointCloud(cloud.coords, metric=cloud.metric)
         assert certificate_scaling_check(cloud, fam, tol=tol, exact_cutoff=cutoff) is verdict
-        assert cloud.dense() is None
 
 
 @pytest.fixture
@@ -595,7 +608,18 @@ class TestIndexArraysInside:
         subset_count[0] = 0
         lower_dim_estimate(cloud, ScaleWindow(1 / 32, 1 / 2), mode=mode, exact_cutoff=60)
         assert subset_count[0] == 0
-        assert cloud._dense is None
+        assert _holds_no_matrix(cloud)
+
+
+def _holds_no_matrix(cloud):
+    """True when no attribute of ``cloud`` is an n x n array."""
+    return not any(getattr(v, "shape", None) == (cloud.n, cloud.n) for v in vars(cloud).values())
+
+
+def _matrix_twin(coords, metric):
+    """The matrix cloud of the oracle's distance rows of ``coords``."""
+    return PointCloud.from_matrix(
+        np.stack([distance_row_oracle(coords, i, metric) for i in range(len(coords))]))
 
 
 def _read_cloud(kind):
@@ -608,9 +632,9 @@ def _read_cloud(kind):
 
 
 class TestMatrixOwner:
-    """The certificate search is the one caller that builds the distance
-    matrix; every other read computes what it was asked for, and gives the
-    same values when the matrix is held."""
+    """No coordinate cloud holds its distance matrix: every read computes what
+    it was asked for, the certificate search included, and gives the values
+    that a matrix cloud of the same distances slices from its matrix."""
 
     @staticmethod
     def _reads(cloud, fam, radius, sep):
@@ -640,7 +664,7 @@ class TestMatrixOwner:
         radius, sep = float(np.median(dmat[5])), sub[np.triu_indices(idx.size, 1)].min()
         fresh = PointCloud(coords, metric=metric)
         got = self._reads(fresh, fam, radius, sep)
-        assert fresh._dense is None
+        assert _holds_no_matrix(fresh)
         assert got == {
             "ball": np.flatnonzero(dmat[5] <= radius + TOL).tolist(),
             "row": dmat[7].tolist(),
@@ -653,16 +677,50 @@ class TestMatrixOwner:
             "verify": {"ok": True, "violations": []},
             "scaling": True,
         }
-        held = PointCloud(coords, metric=metric)
-        held.dense()
-        assert self._reads(held, fam, radius, sep) == got
+        assert self._reads(_matrix_twin(coords, metric), fam, radius, sep) == got
 
     @pytest.mark.parametrize("kind", ["tree", "plane", "line"])
-    def test_search_holds_the_matrix(self, kind):
+    def test_search_holds_no_matrix(self, monkeypatch, kind):
+        # no n x n array on the cloud or from the distance kernel, and each
+        # point's distances read at most once per session outside the verifier
         if kind == "line":    # 1-D balls are slices of the coordinate order
             cloud, depth = polarized_example_cloud(6), 6
         else:
             coords, metric, depth = _read_cloud(kind)
             cloud = PointCloud(coords, metric=metric)
+        kernel, row_of = cloud_module._distance_blocks, PointCloud.distances_from
+        shapes, reads = [], []
+
+        def recording_kernel(a, b, metric):
+            shapes.append((len(a), len(b)))
+            return kernel(a, b, metric)
+
+        def counting_row(self, i):
+            if sys._getframe(1).f_code.co_name != "verify_regular":
+                reads.append(int(i))
+            return row_of(self, i)
+
+        monkeypatch.setattr(cloud_module, "_distance_blocks", recording_kernel)
+        monkeypatch.setattr(PointCloud, "distances_from", counting_row)
         assert search_regular(cloud, 2, 2, depth).family is not None
-        assert (cloud._dense is None) == (kind == "line")
+        search_reads = list(reads)
+        assert max_regular_depth(cloud, 2, 2, depth + 1) == (depth, False)
+        assert _holds_no_matrix(cloud)
+        assert (cloud.n, cloud.n) not in shapes
+        if kind != "line":   # 1-D separation checks read rows, as they always have
+            assert search_reads and max(Counter(search_reads).values()) == 1
+            assert max(Counter(reads[len(search_reads):]).values()) == 1
+
+    def test_rows_held_within_the_budget(self, monkeypatch, sessions):
+        # a budget of 40 points' rows: later points pack theirs again on each
+        # use, and the search expands and finds what it does with every row held
+        coords, metric, depth = _read_cloud("tree")
+        cloud = PointCloud(coords, metric=metric)
+        expected = _outcome(search_regular(cloud, 2, 2, depth))
+        monkeypatch.setattr(cloud_module, "_DENSE_CAP",
+                            40 * 3 * depth * sys.getsizeof((1 << cloud.n) - 1) // 8)
+        assert _outcome(search_regular(cloud, 2, 2, depth)) == expected
+        session = sessions[-1]
+        assert len(session._held) == 40
+        held = sum(sys.getsizeof(row) for rows in session._held.values() for row in rows)
+        assert held <= 8 * cloud_module._DENSE_CAP

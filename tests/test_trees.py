@@ -1,13 +1,16 @@
 import itertools
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fracdim.cloud as cloud_module
+import fracdim.trees as trees_module
 from fracdim import (FiniteTree, PointCloud, branch_family, embed_tree,
-                     max_regular_depth, verify_regular)
+                     max_regular_depth, search_regular, verify_regular)
 from fracdim.io import cloud_to_dict, dumps_canonical
 from oracles import embed_tree_oracle
 
@@ -269,3 +272,50 @@ class TestMaxRegularDepth:
         assert verify_regular(cloud, fam).ok
         depth, _ = max_regular_depth(cloud, 2, 2, cap=5)
         assert depth == 3
+
+
+def _dyadic_plane(cells):
+    """The points ``cells`` of the 16 x 16 grid of spacing 1/16."""
+    return PointCloud([[c // 16 / 16, c % 16 / 16] for c in cells])
+
+
+class TestDepthScanSession:
+    """``max_regular_depth`` runs every depth in one search session: its answer
+    and each of its searches are those of independent ``search_regular``
+    calls, whether the session holds rows or packs each on use."""
+
+    @staticmethod
+    def _scan(cloud, kl, cap, budget, strong):
+        """The depth scan's answer and its searches' (expansions, exhausted, family)."""
+        searches = []
+
+        def recording(*args, **kwargs):
+            searches.append(search_regular(*args, **kwargs))
+            return searches[-1]
+
+        with mock.patch.object(trees_module, "search_regular", recording):
+            answer = max_regular_depth(cloud, *kl, cap, budget=budget, strong=strong)
+        return answer, [(r.expansions, r.exhausted, r.family and r.family.to_dict())
+                        for r in searches]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(prefix_closed_trees(depth=4, children=3, labels=3, max_nodes=14).map(embed_tree),
+                     st.lists(st.integers(0, 255), min_size=20, max_size=120,
+                              unique=True).map(_dyadic_plane)),
+           st.sampled_from([(2, 2), (3, 2), (3, 3)]), st.integers(0, 5), st.integers(1, 400),
+           st.booleans())
+    @example(embed_tree(FiniteTree.full_tree(3, 2)), (2, 2), 5, 400, False)     # depth 3
+    @example(embed_tree(FiniteTree.full_tree(4, 2)), (2, 2), 6, 300, False)     # depth 5 runs out
+    @example(_dyadic_plane(range(256)), (3, 2), 3, 400, True)                  # strong, depth 2
+    def test_matches_independent_searches(self, cloud, kl, cap, budget, strong):
+        alone = []
+        for depth in range(cap + 1):
+            res = search_regular(cloud, *kl, depth, strong=strong, budget=budget)
+            alone.append((res.expansions, res.exhausted, res.family and res.family.to_dict()))
+            if res.family is None:
+                break
+        best = sum(family is not None for _, _, family in alone) - 1
+        expected = ((best, any(exhausted for _, exhausted, _ in alone)), alone)
+        assert self._scan(cloud, kl, cap, budget, strong) == expected
+        with mock.patch.object(cloud_module, "_DENSE_CAP", 0):    # no rows held
+            assert self._scan(cloud, kl, cap, budget, strong) == expected
