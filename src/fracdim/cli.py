@@ -16,7 +16,7 @@ from typing import Optional
 from . import __version__, io
 from .cloud import METRICS
 from .config import RunConfig
-from .generators import GeneratorSpec
+from .generators import _ONE_PARAMETER, GeneratorSpec
 from .lowerdim import ScaleWindow, dimension_bound, lower_dim_estimate
 from .regular import certificate_scaling_check, search_regular, verify_regular
 from .trees import embed_tree, max_regular_depth
@@ -51,8 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "(default euclidean); a JSON cloud must already have it")
 
     gen = sub.add_parser("generate", help="write an example cloud")
-    gen.add_argument("kind", choices=["cantor", "dyadic-grid", "interval-plus-point",
-                                      "polarized", "from-spec"])
+    gen.add_argument("kind", choices=[*_ONE_PARAMETER, "from-spec"])
     gen.add_argument("--level", type=int, help="cantor level")
     gen.add_argument("--resolution", type=int, help="grid resolution")
     gen.add_argument("--depth", type=int, help="polarized depth")

@@ -37,8 +37,7 @@ METRICS = COORDINATE_METRICS + ("matrix",)
 _TRIANGLE_EXHAUSTIVE_LIMIT = 1000
 
 # n^2 for an n x n float64 matrix of 64 MB: the certificate search holds bitset
-# rows within 8 * _DENSE_CAP bytes, and a greedy scan of m points packs its
-# relation up front while m^2 <= _DENSE_CAP.  Chosen from memory, not measured.
+# rows within 8 * _DENSE_CAP bytes.  Chosen from memory, not measured.
 _DENSE_CAP = 2 ** 23
 
 # A block of the distance kernel holds at most about this many float64 (1 MB)

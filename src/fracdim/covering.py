@@ -16,13 +16,15 @@ doubling table (:func:`_sweep_cover_counts`), with no parts built.
 One greedy rule serves two jobs: each part starts at the first uncovered
 point and takes, in scan order, every uncovered point related to all
 members so far.  Under ``d <= r + tol`` the parts are the greedy cover;
-the first part under ``d >= sep - tol`` is the greedy packing.  One scan,
-:func:`_scan`, builds the parts of one subset, within a mask of the rows of
-one relation, bitsets packed from one pass over the distances (see
-:func:`_greedy_parts` for subsets too large for that); the certificate
-search scans its pools on whole-cloud rows (:func:`_greedy_cover_parts`).
-Exact cover search runs on given rows within a mask, with the scan as its
-upper bound and :func:`_separated_lower_bound` as its lower.
+the first part under ``d >= sep - tol`` is the greedy packing.  On a
+subset, :func:`_greedy_parts` runs the rule on distance rows, each new
+member reading its distances to the part's remaining candidates only, so
+no relation is built up front and a packing stops after its first part.
+On bitset rows (bit u = position u, as :func:`_relation_rows` packs them),
+:func:`_scan` runs it within a mask: the certificate search scans its pools
+on whole-cloud rows (:func:`_greedy_cover_parts`), and exact cover search,
+on given rows within a mask, takes the scan as its upper bound and
+:func:`_separated_lower_bound` as its lower.
 
 :func:`_ball_counts` is the one ball-count kernel: N_r(B(x, R)) for every x
 in a point set and every (R, r), for the estimate and the scaling check.
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
@@ -122,19 +124,21 @@ def _relation_rows(cloud: PointCloud, idx: np.ndarray, *related) -> List[List[in
     relations = [[] for _ in related]
     for _, block in cloud._blocks(idx):
         for rows, relate in zip(relations, related):
-            rows.extend(_packed_ints(np.packbits(relate(block), axis=1, bitorder="little")))
+            rows.extend(_packed_ints(relate(block)))
     return relations
 
 
-def _packed_ints(packed: np.ndarray) -> List[int]:
-    """Each row of a little-endian ``np.packbits`` array as one Python integer."""
+def _packed_ints(bits) -> List[int]:
+    """Each row of the 2-D boolean array ``bits`` as one Python integer, bit u = column u."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
     width = packed.shape[1]
     data = packed.tobytes()
     return [int.from_bytes(data[t * width:(t + 1) * width], "little") for t in range(len(packed))]
 
 
 def _unpacked_bits(ints: List[int], size: int) -> np.ndarray:
-    """Bits 0 .. size - 1 of each integer in ``ints``, as the rows of a 0/1 uint8 array."""
+    """Bits 0 .. size - 1 of each integer in ``ints``, as the rows of a 0/1 uint8 array:
+    the inverse of :func:`_packed_ints`."""
     width = (size + 7) // 8
     data = b"".join(v.to_bytes(width, "little") for v in ints)
     packed = np.frombuffer(data, dtype=np.uint8).reshape(len(ints), width)
@@ -143,17 +147,15 @@ def _unpacked_bits(ints: List[int], size: int) -> np.ndarray:
 
 def _transposed(rows: List[int]) -> List[int]:
     """The columns of the square bitset relation ``rows``, as rows."""
-    return _packed_ints(np.packbits(_unpacked_bits(rows, len(rows)).T, axis=1, bitorder="little"))
+    return _packed_ints(_unpacked_bits(rows, len(rows)).T)
 
 
-def _scan(rows: List[int], uncovered: Optional[int] = None) -> Tuple[List[int], List[int]]:
+def _scan(rows: List[int], uncovered: int) -> Tuple[List[int], List[int]]:
     """The greedy scan (see the module docstring) over bitset ``rows``, as
     (members, ends): part i holds the positions ``members[ends[i]:ends[i + 1]]``.
 
-    The scan covers the positions set in ``uncovered`` (default all), so
-    rows of a whole cloud scan any subset given as a mask, in index order."""
-    if uncovered is None:
-        uncovered = (1 << len(rows)) - 1
+    The scan covers the positions set in ``uncovered``, so rows of a whole
+    cloud scan any subset given as a mask, in index order."""
     members = []
     ends = [0]
     while uncovered:
@@ -213,27 +215,14 @@ def _greedy_counts(rows: List[int], columns: List[List[int]]) -> np.ndarray:
     return counts.reshape(len(columns), m).T
 
 
-def _greedy_parts(cloud: PointCloud, idx: np.ndarray, related) -> List[np.ndarray]:
-    """Greedy parts (:func:`_scan`) of the points ``idx``, in their order, under
-    ``related`` (see :func:`_relation_rows`).
+def _greedy_parts(cloud: PointCloud, idx: np.ndarray, related) -> Iterator[np.ndarray]:
+    """Greedy parts (see the module docstring) of the points ``idx``, in their
+    order, under ``related`` (see :func:`_relation_rows`), one part at a time.
 
-    While m^2 <= ``_DENSE_CAP`` the relation is built up front as bitset
-    rows (at most 1 MB); a larger subset computes each new member's
-    distances to the remaining candidates only (O(m) memory).
-    """
-    if idx.size * idx.size > _cloud._DENSE_CAP:
-        return _greedy_parts_by_candidates(cloud, idx, related)
-    [rows] = _relation_rows(cloud, idx, related)
-    members, ends = _scan(rows)
-    flat = idx[members]
-    return [flat[a:b] for a, b in zip(ends, ends[1:])]
-
-
-def _greedy_parts_by_candidates(cloud: PointCloud, idx: np.ndarray,
-                                 related) -> List[np.ndarray]:
-    """:func:`_greedy_parts` with the candidates as a position array."""
+    Each new member reads its distances to the part's remaining candidates
+    only, one :meth:`PointCloud.pairwise` row, so memory is O(m) and a
+    first part reads one row per member."""
     uncovered = np.ones(idx.size, dtype=bool)
-    parts = []
     while uncovered.any():
         cand = np.flatnonzero(uncovered)
         members = []
@@ -242,8 +231,7 @@ def _greedy_parts_by_candidates(cloud: PointCloud, idx: np.ndarray,
             members.append(t)
             cand = cand[related(cloud.pairwise(idx[t:t + 1], idx[cand])[0])]
         uncovered[members] = False
-        parts.append(idx[members])
-    return parts
+        yield idx[members]
 
 
 def _greedy_cover_parts(rows, mask: int) -> List[List[int]]:
@@ -256,7 +244,7 @@ def _greedy_pack_indices(cloud: PointCloud, idx: np.ndarray, sep: float,
                          tol: float) -> np.ndarray:
     """Sorted maximal sep-separated family, taking points in the order of ``idx``."""
     # There are no parts only when there are no points.
-    return np.sort((_greedy_parts(cloud, idx, lambda d: d >= sep - tol) or [idx])[0])
+    return np.sort(next(_greedy_parts(cloud, idx, lambda d: d >= sep - tol), idx))
 
 
 def _separated_lower_bound(rows: List[int], mask: int) -> int:
@@ -415,7 +403,7 @@ def covering_number(subset: Subset, r: float, mode: str = "auto",
         _refuse_above_cutoff("covering", idx.size, exact_cutoff)
         parts = _bb_min_clique_cover(cloud, idx, r, tol)
     else:
-        parts, exact = _greedy_parts(cloud, idx, lambda d: d <= r + tol), False
+        parts, exact = list(_greedy_parts(cloud, idx, lambda d: d <= r + tol)), False
     return CoverResult(len(parts), [Subset(cloud, p) for p in parts], exact)
 
 

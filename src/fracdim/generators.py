@@ -159,8 +159,7 @@ class GeneratorSpec:
     components: Optional[Tuple["GeneratorSpec", "GeneratorSpec"]] = None
     base: Optional["GeneratorSpec"] = None
 
-    KINDS = ("cantor", "dyadic-grid", "interval-plus-point", "polarized",
-             "union", "cascade")
+    KINDS = (*_ONE_PARAMETER, "union", "cascade")
 
     def __post_init__(self) -> None:
         if self.kind not in self.KINDS:

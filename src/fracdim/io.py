@@ -125,6 +125,8 @@ class _Encoder:
         raise TypeError(f"cannot serialize {kind.__name__}")
 
     def sequence(self, obj, level: int) -> str:
+        if isinstance(obj, np.ndarray) and obj.ndim == 1:
+            obj = obj.tolist()      # one row's numbers at a time: a matrix is never held as lists
         items = [self.encode(x, level + 1) for x in obj]
         if not items:
             return "[]"
@@ -210,9 +212,11 @@ def write_json(obj, path: str) -> None:
 # ---------------------------------------------------------------- clouds
 
 def cloud_to_dict(cloud: PointCloud) -> dict:
+    """The cloud's JSON object for the canonical encoder, which takes its
+    (read-only) point or matrix array as it is; ``json.dumps`` does not."""
     if cloud.metric == "matrix":
-        return {"metric": "matrix", "matrix": cloud.matrix.tolist()}
-    return {"metric": cloud.metric, "points": cloud.coords.tolist()}
+        return {"metric": "matrix", "matrix": cloud.matrix}
+    return {"metric": cloud.metric, "points": cloud.coords}
 
 
 def cloud_from_dict(data: dict, tol: float = DEFAULT_TOL) -> PointCloud:

@@ -33,7 +33,7 @@ from .cloud import PointCloud, Subset, _ball, _upper
 from .config import (_JSON_CHECKS, DEFAULT_BUDGET, DEFAULT_EXACT_CUTOFF, DEFAULT_TOL,
                      _checked_object)
 from .covering import (_ball_counts, _greedy_cover_parts, _min_clique_cover, _packed_ints,
-                       _separated_lower_bound, _sweep_pack)
+                       _separated_lower_bound, _sweep_pack, _unpacked_bits)
 
 Label = Tuple[int, ...]
 
@@ -212,7 +212,7 @@ class _Search:
         if k < 2 or l < 2:
             raise ValueError("need k >= 2 and l >= 2")
         self.cloud, self.k, self.l, self.strong, self.tol = self.key = (cloud, k, l, strong, tol)
-        self.levels, self._width = levels, (cloud.n + 7) // 8
+        self.levels = levels
         # (point, level) -> lookahead, (level, candidates) -> pack bound, point -> rows
         self._plausible, self._packs, self._held = {}, {}, {}
         self._bounds: List[Tuple[float, float, float]] = []
@@ -234,9 +234,8 @@ class _Search:
         rows = self._held.get(q)
         if rows is None:
             d = self.cloud.distances_from(q)
-            rows = _packed_ints(np.packbits([rel for ball, pack, sep in self._bounds
-                                             for rel in (d <= ball, d <= pack, d >= sep)],
-                                            axis=1, bitorder="little"))
+            rows = _packed_ints([rel for ball, pack, sep in self._bounds
+                                 for rel in (d <= ball, d <= pack, d >= sep)])
             if len(self._held) < self._hold:
                 self._held[q] = rows
         return rows[3 * min(level, len(self._bounds) - 1) + kind]
@@ -245,8 +244,8 @@ class _Search:
         """Candidate children of ``point`` at ``level``, in search order."""
         if self.cloud.dim == 1:
             return _ball(self.cloud, point, child_radius(self.k, level), self.tol)
-        row = np.frombuffer(self._row(point, level, 0).to_bytes(self._width, "little"), np.uint8)
-        return np.flatnonzero(np.unpackbits(row, bitorder="little")).tolist()
+        [row] = _unpacked_bits([self._row(point, level, 0)], self.cloud.n)
+        return np.flatnonzero(row).tolist()
 
     def _pack_upper_bound(self, level: int, cands) -> int:
         """Upper bound on the size of a separated subset of the pool ``cands``."""

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fracdim.cloud as cloud_module
+import fracdim.covering as covering_module
 from fracdim import (PointCloud, RegularFamily, ScaleWindow, Subset, cantor_cloud,
                      certificate_scaling_check, closed_ball, covering_number, diameter,
                      hausdorff_distance, lower_dim_estimate, maximal_separated_family,
@@ -250,7 +251,7 @@ def _cover_parts(cloud, idx, r):
     """The greedy parts of ``idx`` under d <= r + tol, as index arrays: the scan
     of ``covering_number``, after checking that the bitset form the certificate
     search calls, on ``idx``'s relation rows, gives the same parts."""
-    parts = _greedy_parts(cloud, idx, lambda d: d <= r + TOL)
+    parts = list(_greedy_parts(cloud, idx, lambda d: d <= r + TOL))
     [rows] = _relation_rows(cloud, idx, lambda d: d <= r + TOL)
     assert [idx[p].tolist() for p in _greedy_cover_parts(rows, (1 << idx.size) - 1)] == \
         [p.tolist() for p in parts]
@@ -279,7 +280,7 @@ class TestGreedyCoverParts:
         dmat = np.stack([distance_row_oracle(coords, i, metric) for i in range(len(cells))])
         expected = [idx[p].tolist() for p in greedy_cover_oracle(dmat[np.ix_(idx, idx)], r, TOL)]
         assert [p.tolist() for p in _cover_parts(cloud, idx, r)] == expected
-        with mock.patch.object(cloud_module, "_DENSE_CAP", 0):   # the candidate scan
+        with mock.patch.object(cloud_module, "_DENSE_CAP", 0):   # the cap bounds no greedy scan
             assert [p.tolist() for p in _cover_parts(cloud, idx, r)] == expected
 
     @pytest.mark.parametrize("block, cap", [(None, None), (100, None), (1000, None),
@@ -363,7 +364,7 @@ class TestGreedySeparatedFamilies:
         dmat = np.stack([distance_row_oracle(coords, i, metric) for i in idx])[:, idx]
         expected = _separated_oracles(dmat, idx, radius, seed_pos)
         assert _separated_scans(cloud, idx, radius, seed_pos) == expected
-        with mock.patch.object(cloud_module, "_DENSE_CAP", 0):   # the candidate scan
+        with mock.patch.object(cloud_module, "_DENSE_CAP", 0):   # the cap bounds no greedy scan
             assert _separated_scans(cloud, idx, radius, seed_pos) == expected
 
     @pytest.mark.parametrize("cap", [None, 0])
@@ -405,6 +406,49 @@ class TestGreedySeparatedFamilies:
         one = np.array([2])
         assert _separated_scans(cloud, one, 0.5, 0) == {
             "separated": [2], "pack": [2], "packing_number": [2], "seeded": [2]}
+
+
+class TestGreedyReadsOneRowPerMember:
+    """Greedy covers and packings pack no relation up front: each member they
+    take reads one distance row, to the candidates that remain."""
+
+    @pytest.mark.parametrize("cap", [None, 0])
+    @pytest.mark.parametrize("kind", ["coordinates", "matrix"])
+    def test_rows_read(self, monkeypatch, kind, cap):
+        if cap is not None:
+            monkeypatch.setattr(cloud_module, "_DENSE_CAP", cap)
+        rng = np.random.default_rng(31)
+        if kind == "matrix":
+            dmat = random_metric_cloud(rng, 120, 2)
+            cloud = PointCloud.from_matrix(dmat)
+        else:
+            coords = rng.uniform(0.0, 1.0, size=(120, 2))
+            cloud = PointCloud(coords)
+            dmat = np.stack([distance_row_oracle(coords, i, "euclidean") for i in range(120)])
+        sub, r = cloud.all_indices(), 0.15
+        rows, pairwise = [], PointCloud.pairwise
+
+        def recording_pairwise(self, idx, cols=None):
+            block = pairwise(self, idx, cols)
+            rows.append(len(block))
+            return block
+
+        monkeypatch.setattr(PointCloud, "pairwise", recording_pairwise)
+        monkeypatch.setattr(covering_module, "_relation_rows", mock.Mock(side_effect=AssertionError))
+        want = [p.tolist() for p in greedy_cover_oracle(dmat, r, TOL)]
+        for mode, cutoff in (("greedy", 20), ("auto", 5)):   # auto above the cutoff
+            rows.clear()
+            res = covering_number(sub, r, mode=mode, exact_cutoff=cutoff)
+            assert [p.indices.tolist() for p in res.parts] == want and not res.exact
+            assert rows and set(rows) == {1}
+        rows.clear()
+        pack = packing_number(sub, r)
+        assert pack.witnesses.indices.tolist() == greedy_pack_oracle(dmat, r, TOL)
+        assert set(rows) == {1} and len(rows) <= pack.count
+        rows.clear()
+        fam = maximal_separated_family(sub, r, seed=41)
+        assert fam.indices.tolist() == greedy_pack_oracle(dmat, r, TOL, seed=41)
+        assert set(rows) == {1} and len(rows) <= len(fam)
 
 
 def _exact_solves(cloud, idx, r):

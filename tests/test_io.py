@@ -406,6 +406,25 @@ class TestCloudFiles:
         io.write_cloud(cloud, path)
         assert path.read_text() == text
 
+    @pytest.mark.parametrize("cloud", [
+        PointCloud([[-0.0, 1e16], [3.0, 1e16 - 2], [0.1, -2.5e-300]], metric="l1"),
+        PointCloud([[-0.0], [2.0], [1e16]]),
+        PointCloud.from_matrix([[0, 1, 2], [1, 0, 1.5], [2, 1.5, 0]]),
+    ])
+    def test_array_encodes_as_its_lists(self, tmp_path, cloud):
+        # the encoder takes the cloud's own read-only array, one row's tolist() at a time
+        data = io.cloud_to_dict(cloud)
+        key = "matrix" if cloud.metric == "matrix" else "points"
+        array = cloud.matrix if cloud.metric == "matrix" else cloud.coords
+        assert data[key] is array and not array.flags.writeable
+        lists = {"metric": cloud.metric, key: array.tolist()}
+        for indent in (0, 2):
+            assert io.dumps_canonical(data, indent=indent) == \
+                io.dumps_canonical(lists, indent=indent) == canonical_json_oracle(lists, indent)
+        path = tmp_path / "c.json"
+        io.write_cloud(cloud, path)
+        assert path.read_text() == io.dumps_canonical(lists, indent=2) + "\n"
+
 
 class TestCertificateFiles:
     def test_roundtrip_bit_exact(self, tmp_path):

@@ -558,7 +558,7 @@ class TestFrozenSearch:
     @TREE_VERDICTS
     def test_tree_scaling_verdicts_streamed(self, monkeypatch, tol, cutoff, verdict):
         # no distance matrix, the deepest level's 16 rows come two at a time,
-        # and greedy scans of more than three points take the candidate scan
+        # with the cap below the deepest level's 16^2
         cloud = embed_tree(FiniteTree.full_tree(4, 2))
         fam = search_regular(cloud, 2, 2, 4).family
         monkeypatch.setattr(cloud_module, "_DENSE_CAP", 15)
