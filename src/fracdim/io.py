@@ -6,19 +6,21 @@ floats below 1e16 as ``x.0``, all others with 17 significant digits,
 non-finite values rejected.  Identical runs therefore produce byte-identical
 artifacts.  The ``estimate --csv`` table uses the same float text.
 
-Each call formats a distinct float once (``_float_format``).  A
+Each call formats a distinct scalar float once (``_float_format``).  A
 :class:`fracdim.config.Records` (the estimate table) is written as the
-list of dicts it stands for, column by column.  There is one encoder, and
-every step of it that can fail (type dispatch, the non-finite refusal) runs
-before the first character is written.  What it defers cannot fail: the
-text of a Records' int and float array columns, each distinct value of a
-block formatted once, and the joining of its rows, ``_BLOCK`` rows at a
-time.  :func:`dump_canonical` writes those blocks to a file object, so a
-report's text is never held whole; :func:`dumps_canonical` joins the same
-pieces into one string.  The encoder before the columnar one, which
-recursed once per value, is kept in ``tests/oracles.py``; the tests require
-byte-identical output and the same exception types on random nested
-documents.
+list of dicts it stands for, column by column, and a 2-D int or float
+array (a cloud's points or matrix) as its list of rows.  There is one
+encoder, and every step of it that can fail (type dispatch, the non-finite
+refusal) runs before the first character is written.  What it defers
+cannot fail: the text of a Records' int and float array columns and of a
+2-D array's values, each distinct value of a block formatted once, and the
+joining of their rows.  A Records block is ``_BLOCK`` rows; an array block
+is ``_BLOCK`` values, or one row when a row is wider.  :func:`dump_canonical`
+writes those blocks to a file object, so neither a report's nor a cloud's
+text is ever held whole; :func:`dumps_canonical` joins the same pieces into
+one string.  The encoder before the columnar one, which recursed once per
+value, is kept in ``tests/oracles.py``; the tests require byte-identical
+output and the same exception types on random nested documents.
 """
 from __future__ import annotations
 
@@ -39,9 +41,9 @@ from .lowerdim import EstimateReport
 from .regular import RegularFamily
 from .trees import FiniteTree
 
-# rows of a Records joined into one string at a time
-_BLOCK = 4096
-# where a Records' rows go in the encoder's text; _quote escapes every NUL
+# rows of a Records, or values of a 2-D array (at least one row), joined into one string at a time
+_BLOCK = 1024
+# where a Records' or an array's rows go in the encoder's text; _quote escapes every NUL
 _HOLE = "\0"
 _NON_FINITE = "cannot serialize non-finite float"
 
@@ -80,12 +82,13 @@ def _blocks(pieces: list):
 
 
 class _Encoder:
-    """One document: its indent, its float cache and its Records' deferred rows."""
+    """One document: its indent, its float cache and the deferred rows of its
+    Records and 2-D arrays."""
 
     def __init__(self, indent: int):
         self.indent = indent
         self.float = _float_format()
-        self.bodies = []   # row blocks of each Records, in the order of their holes
+        self.bodies = []   # row blocks of each Records or array, in the order of their holes
 
     def layout(self, level: int) -> tuple:
         """(after the open bracket, between items, before the close bracket)."""
@@ -118,6 +121,9 @@ class _Encoder:
             return self.float(float(obj))
         if isinstance(obj, str):
             return _quote(obj)
+        if (isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.size
+                and obj.dtype.kind in ("f", "i", "u")):
+            return self.array(obj, level)
         if isinstance(obj, (list, tuple, np.ndarray)):
             return self.sequence(obj, level)
         if isinstance(obj, dict):
@@ -126,7 +132,7 @@ class _Encoder:
 
     def sequence(self, obj, level: int) -> str:
         if isinstance(obj, np.ndarray) and obj.ndim == 1:
-            obj = obj.tolist()      # one row's numbers at a time: a matrix is never held as lists
+            obj = obj.tolist()      # its numbers as Python scalars, one encode call each
         items = [self.encode(x, level + 1) for x in obj]
         if not items:
             return "[]"
@@ -146,13 +152,41 @@ class _Encoder:
         if not len(rec.columns[0]):
             return "[]"
         texts = [self.column(column, level + 2) for column in rec.columns]
-        first, sep, last = self.layout(level)
+        _, sep, _ = self.layout(level)
         row_first, row_sep, row_last = self.layout(level + 1)
         heads = [_quote(str(k)) + ": " for k in rec.keys]
         opening = "{" + row_first + heads[0]
         glue = [chain([opening], repeat(sep + opening))] + [repeat(row_sep + h) for h in heads[1:]]
-        blocks = _blocks([x for g, column in zip(glue, texts) for x in (g, column)]
-                         + [repeat(row_last + "}")])
+        return self.deferred(_blocks([x for g, column in zip(glue, texts) for x in (g, column)]
+                                     + [repeat(row_last + "}")]), level)
+
+    def array(self, array: np.ndarray, level: int) -> str:
+        """A finite int or float 2-D array as its list of rows: checked now,
+        its rows as a hole whose blocks of about ``_BLOCK`` values go to ``bodies``."""
+        if array.dtype.kind == "f" and not np.isfinite(array).all():
+            raise ValueError(_NON_FINITE)
+        return self.deferred(self.array_rows(array, level), level)
+
+    def array_rows(self, array: np.ndarray, level: int):
+        """The text of ``array``'s rows, one block of rows at a time."""
+        _, sep, _ = self.layout(level)
+        first, value_sep, last = self.layout(level + 1)
+        width = array.shape[1]
+        # after each value: the next value's separator, or the end of its row and the next's start
+        glue = [value_sep] * (width - 1) + [last + "]" + sep + "[" + first]
+        step = max(1, _BLOCK // width)
+        for start in range(0, len(array), step):
+            texts = self.array_texts(array[start:start + step].ravel())
+            pieces = [None] * (2 * len(texts))
+            pieces[::2] = texts
+            pieces[1::2] = glue * (len(texts) // width)
+            pieces[-1] = last + "]"
+            yield (sep if start else "") + "[" + first + "".join(pieces)
+
+    def deferred(self, blocks, level: int) -> str:
+        """The list whose items ``blocks`` joins, as a hole (``blocks`` go to
+        ``bodies``) or, inside a Records' row, as its text."""
+        first, _, last = self.layout(level)
         if self.bodies is None:   # inside another Records' row
             return "[" + first + "".join(blocks) + last + "]"
         self.bodies.append(blocks)
@@ -172,11 +206,13 @@ class _Encoder:
         return chain.from_iterable(self.array_texts(values[start:start + _BLOCK])
                                    for start in range(0, len(values), _BLOCK))
 
-    def array_texts(self, values: np.ndarray) -> list:
-        """The texts of a finite int or float array, each distinct value formatted once."""
+    @staticmethod
+    def array_texts(values: np.ndarray) -> list:
+        """The texts of a finite 1-D int or float array, each distinct value
+        formatted once; nothing is cached beyond the call."""
         if values.dtype.kind == "f":   # by bit pattern, so that 0.0 and -0.0 stay apart
             distinct, at = np.unique(values.astype(np.float64).view(np.int64), return_inverse=True)
-            texts = [self.float(x) for x in distinct.view(np.float64).tolist()]
+            texts = list(map(_fmt_float, distinct.view(np.float64).tolist()))
         else:
             distinct, at = np.unique(values, return_inverse=True)
             texts = [str(x) for x in distinct.tolist()]

@@ -141,7 +141,11 @@ def lower_dim_estimate(cloud: PointCloud, window: ScaleWindow, mode: str = "exac
     """
     if mode not in ("exact", "greedy"):
         raise ValueError(f"unknown mode {mode!r}")
-    pairs = window.pairs(diam_cap=cloud.diam(), tol=tol)
+    # an entry of the diameter's own kernel: when no scale exceeds it, capping at
+    # it keeps what capping at the diameter keeps, without a pass over every pair
+    reach = float(cloud.distances_from(0).max())
+    cap = reach if not window.scales()[-1] > reach + tol else cloud.diam()
+    pairs = window.pairs(diam_cap=cap, tol=tol)
 
     def exact_count(rows: List[int], ball: int) -> int:
         _refuse_above_cutoff("covering", ball.bit_count(), exact_cutoff)

@@ -238,6 +238,26 @@ class TestRecords:
 _BOUNDARY_ROWS = [0, 1, 2, 3, 4, 7]
 
 
+# 2-D array widths around a block of 3 values: none, under, at and over one
+# block, and over two
+_BOUNDARY_WIDTHS = [0, 1, 2, 3, 4, 7]
+
+
+def _arrays(rows: int, width: int):
+    """A rows x width float, int or unsigned array."""
+    def size(values):
+        return st.lists(values, min_size=rows * width, max_size=rows * width)
+
+    return st.one_of(
+        size(_FLOATS).map(lambda v: np.array(v, dtype=np.float64)),
+        size(st.floats(width=32, allow_nan=False, allow_infinity=False))
+        .map(lambda v: np.array(v, dtype=np.float32)),
+        size(st.integers(-2 ** 63, 2 ** 63 - 1)).map(lambda v: np.array(v, dtype=np.int64)),
+        size(st.integers(0, 2 ** 64 - 1)).map(lambda v: np.array(v, dtype=np.uint64)),
+        size(st.integers(-2 ** 15, 2 ** 15 - 1)).map(lambda v: np.array(v, dtype=np.int16)),
+    ).map(lambda a: a.reshape(rows, width))
+
+
 class _Recorder:
     """A file object that keeps each write."""
 
@@ -283,6 +303,38 @@ class TestStreamedWriter:
         # the text before, between and after the tables holds one "{", the document's own
         expected = [1, *blocks, 0, *blocks, 0] if rows else [1]
         assert [w.count("{") for w in sink.writes] == expected
+
+    @pytest.mark.parametrize("rows", _BOUNDARY_ROWS)
+    @pytest.mark.parametrize("width", _BOUNDARY_WIDTHS)
+    @settings(max_examples=15, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_arrays_match_the_oracle(self, rows, width, data):
+        array = data.draw(_arrays(rows, width))
+        plain = array.tolist()
+        nested = [(array, plain), ({"a": array, "b": [array, 1]}, {"a": plain, "b": [plain, 1]}),
+                  ([{"t": array}, array], [{"t": plain}, plain]),
+                  # an array among a Records column's values is joined within its row
+                  (Records(("k", "v"), ([0, 1], [array, [array]])),
+                   [{"k": 0, "v": plain}, {"k": 1, "v": [plain]}])]
+        for indent in (0, 2):
+            for doc, expected in nested:
+                text = canonical_json_oracle(expected, indent)
+                sink = StringIO()
+                io.dump_canonical(doc, sink, indent=indent)
+                assert sink.getvalue() == text
+                assert io.dumps_canonical(doc, indent=indent) == text
+
+    @pytest.mark.parametrize("rows", _BOUNDARY_ROWS)
+    @pytest.mark.parametrize("width", _BOUNDARY_WIDTHS[1:])
+    def test_array_rows_are_written_in_blocks(self, rows, width):
+        sink = _Recorder()
+        io.dump_canonical({"head": [0], "points": np.zeros((rows, width))}, sink)
+        step = max(1, 3 // width)   # a block holds 3 values, or one wider row
+        blocks = [step] * (rows // step) + [rows % step] * (rows % step > 0)
+        # the text before and after the rows holds the head's "[" and the rows' own
+        expected = [2, *blocks, 0] if rows else [2]
+        assert [w.count("[") for w in sink.writes] == expected
 
     @pytest.mark.parametrize("rows", _BOUNDARY_ROWS)
     @settings(max_examples=40, deadline=None,
@@ -332,6 +384,20 @@ def test_streamed_table_peaks_below_a_quarter_of_its_text():
     assert peak < sink.length / 4
 
 
+def test_written_cloud_peaks_below_a_quarter_of_its_file(tmp_path):
+    cloud = PointCloud(np.random.default_rng(32).random((3000, 64)))
+    path = tmp_path / "cloud.json"
+    tracemalloc.start()
+    try:
+        io.write_cloud(cloud, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 4_000_000
+    assert peak < size / 4
+
+
 class TestFailedEncodeWritesNothing:
     """Every step that can fail runs before the target is opened."""
 
@@ -340,6 +406,9 @@ class TestFailedEncodeWritesNothing:
         {"ok": Records(("a",), (np.arange(5.0),)),
          "bad": Records(("a",), (np.array([1.0, np.inf]),))},
         [Records(("a",), ([1, object()],))],
+        {"ok": np.arange(6.0).reshape(3, 2), "bad": np.array([[1.0, 2.0], [3.0, np.inf]])},
+        [np.zeros((2, 2)), np.array([[np.nan]], dtype=np.float32)],
+        Records(("a",), ([np.ones((2, 3)), np.array([[-np.inf, 0.0]])],)),
     ])
     def test_write_json_leaves_the_file(self, tmp_path, doc):
         path = tmp_path / "kept.json"
@@ -412,7 +481,7 @@ class TestCloudFiles:
         PointCloud.from_matrix([[0, 1, 2], [1, 0, 1.5], [2, 1.5, 0]]),
     ])
     def test_array_encodes_as_its_lists(self, tmp_path, cloud):
-        # the encoder takes the cloud's own read-only array, one row's tolist() at a time
+        # the encoder takes the cloud's own read-only array and writes it in blocks of values
         data = io.cloud_to_dict(cloud)
         key = "matrix" if cloud.metric == "matrix" else "points"
         array = cloud.matrix if cloud.metric == "matrix" else cloud.coords

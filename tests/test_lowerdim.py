@@ -200,6 +200,44 @@ class TestGreedyRelationRows:
         assert (got.alpha_hat, got.argmin) == (expected.alpha_hat, expected.argmin)
 
 
+class TestDiameterCap:
+    """The window's pairs capped at the distance row of point 0 when no
+    scale exceeds it, and at the diameter otherwise, against the pairs
+    capped at the diameter."""
+
+    @staticmethod
+    @st.composite
+    def _clouds(draw):
+        n, d = draw(st.integers(1, 12)), draw(st.integers(1, 3))
+        coords = np.array(draw(st.lists(st.floats(-4, 4, allow_subnormal=False),
+                                        min_size=n * d, max_size=n * d))).reshape(n, d)
+        coords = np.unique(coords, axis=0)
+        metric = draw(st.sampled_from(["euclidean", "l1", "matrix"]))
+        if metric == "matrix":
+            dmat = np.stack([distance_row_oracle(coords, i, "l1") for i in range(len(coords))])
+            return lambda: PointCloud.from_matrix(dmat)
+        return lambda: PointCloud(coords, metric=metric)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_clouds(), st.sampled_from([0.25, 0.5, 1.0, 1.0 + 1e-13, 1.5, 4.0]),
+           st.integers(2, 6), st.sampled_from([1e-12, 1e-3]), st.sampled_from(["exact", "greedy"]))
+    def test_pairs_match_the_diameter_cap(self, make, scale, steps, tol, mode):
+        diam = make().diam()
+        reach = float(make().distances_from(0).max())
+        assert reach <= diam
+        r_max = max(diam, 2.0 ** -10) * scale
+        window = ScaleWindow(r_max / 2 ** steps, r_max)
+        cloud = make()
+        rep = lower_dim_estimate(cloud, window, mode=mode, tol=tol, exact_cutoff=12)
+        assert rep.pairs == window.pairs(diam_cap=diam, tol=tol)
+        assert (cloud._diam is None) == (not window.scales()[-1] > reach + tol)
+
+    def test_no_diameter_pass_below_the_first_row(self):
+        cloud = PointCloud(np.random.default_rng(5).random((200, 2)))
+        rep = lower_dim_estimate(cloud, ScaleWindow(1 / 64, 1 / 4), mode="greedy")
+        assert cloud._diam is None and rep.pairs == ScaleWindow(1 / 64, 1 / 4).pairs()
+
+
 class TestExactRelationRows:
     """Exact rows read from the whole-cloud relations against the subset
     dynamic program of each ball's distances."""
