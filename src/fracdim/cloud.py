@@ -75,7 +75,7 @@ class PointCloud:
                 raise ValueError("coordinate mode requires points")
             if matrix is not None:
                 raise ValueError("matrix only allowed with metric='matrix'")
-            self.coords = _validated_coords(points)
+            self.coords = _validated_coords(points, metric)
             self.coords.setflags(write=False)
             self.matrix = None
             self.n = self.coords.shape[0]
@@ -237,7 +237,7 @@ def _upper(start: int, block: np.ndarray) -> np.ndarray:
     return np.arange(block.shape[1]) > np.arange(start, start + len(block))[:, None]
 
 
-def _validated_coords(points) -> np.ndarray:
+def _validated_coords(points, metric: str) -> np.ndarray:
     arr = np.array(points, dtype=float)
     if arr.ndim == 1:
         arr = arr[:, None]
@@ -248,6 +248,12 @@ def _validated_coords(points) -> np.ndarray:
     ordered = arr[np.lexsort(arr.T)]   # equal rows, 0.0 and -0.0 alike, end up adjacent
     if np.any(np.all(ordered[1:] == ordered[:-1], axis=1)):
         raise ValueError("duplicate points rejected (zero pairwise distance)")
+    # the kernel's sum over the per-axis spans bounds every distance it computes
+    with np.errstate(over="ignore"):
+        span = arr.max(axis=0) - arr.min(axis=0)
+        spread = np.sum(span ** 2 if metric == "euclidean" and arr.shape[1] > 1 else span)
+    if not np.isfinite(spread):
+        raise ValueError("points too far apart: their distances overflow a float")
     return arr
 
 

@@ -121,9 +121,11 @@ def neighborhood_cascade(cloud: PointCloud, center: int, epsilon: float,
     inside = cloud.distances_from(center) < epsilon - tol
     inside[center] = True
     for n in range(2, depth + 1):
-        radius = epsilon ** n
+        radius, size = epsilon ** n, np.count_nonzero(inside)
         for v in np.flatnonzero(inside):
             inside |= cloud.distances_from(v) < radius - tol
+        if np.count_nonzero(inside) == size:   # later rounds, with smaller radii, add nothing
+            break
     return Subset(cloud, np.flatnonzero(inside))
 
 

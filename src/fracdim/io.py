@@ -6,16 +6,16 @@ floats below 1e16 as ``x.0``, all others with 17 significant digits,
 non-finite values rejected.  Identical runs therefore produce byte-identical
 artifacts.  The ``estimate --csv`` table uses the same float text.
 
-Each call formats a distinct scalar float once (``_float_format``).  A
-:class:`fracdim.config.Records` (the estimate table) is written as the
-list of dicts it stands for, column by column, and a 2-D int or float
-array (a cloud's points or matrix) as its list of rows.  There is one
-encoder, and every step of it that can fail (type dispatch, the non-finite
-refusal) runs before the first character is written.  What it defers
-cannot fail: the text of a Records' int and float array columns and of a
-2-D array's values, each distinct value of a block formatted once, and the
-joining of their rows.  A Records block is ``_BLOCK`` rows; an array block
-is ``_BLOCK`` values, or one row when a row is wider.  :func:`dump_canonical`
+Each value takes one ``isinstance`` dispatch, and a scalar float is
+formatted where it stands, with no cache.  A :class:`fracdim.config.Records`
+(the estimate table) is written as the list of dicts it stands for, column
+by column, and a 2-D int or float array (a cloud's points or matrix) as its
+list of rows.  Every step that can fail (type dispatch, the non-finite
+refusal) runs before the first character is written.  What the encoder
+defers cannot fail: the text of a Records' int and float array columns and
+of a 2-D array's values, each distinct value of a block formatted once, and
+the joining of their rows.  A Records block is ``_BLOCK`` rows; an array
+block is ``_BLOCK`` values, or one row when a row is wider.  :func:`dump_canonical`
 writes those blocks to a file object, so neither a report's nor a cloud's
 text is ever held whole; :func:`dumps_canonical` joins the same pieces into
 one string.  The encoder before the columnar one, which recursed once per
@@ -59,21 +59,6 @@ def _fmt_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def _float_format():
-    """``_fmt_float`` that formats each distinct value once over its own lifetime."""
-    cache = {}
-
-    def fmt(x: float) -> str:
-        text = cache.get(x)
-        if text is None:
-            text = _fmt_float(x)
-            if x:   # 0.0 and -0.0 are equal keys but print differently
-                cache[x] = text
-        return text
-
-    return fmt
-
-
 def _blocks(pieces: list):
     """The rows ``zip(*pieces)`` yields, ``_BLOCK`` rows joined to each string."""
     rows = zip(*pieces)
@@ -82,12 +67,10 @@ def _blocks(pieces: list):
 
 
 class _Encoder:
-    """One document: its indent, its float cache and the deferred rows of its
-    Records and 2-D arrays."""
+    """One document: its indent and the deferred rows of its Records and 2-D arrays."""
 
     def __init__(self, indent: int):
         self.indent = indent
-        self.float = _float_format()
         self.bodies = []   # row blocks of each Records or array, in the order of their holes
 
     def layout(self, level: int) -> tuple:
@@ -98,29 +81,18 @@ class _Encoder:
         return pad, "," + pad, "\n" + " " * (self.indent * level)
 
     def encode(self, obj, level: int) -> str:
-        kind = type(obj)
-        if kind is float:
-            return self.float(obj)
-        if kind is int:
-            return str(obj)
-        if kind is str:
-            return _quote(obj)
         if obj is None:
             return "null"
-        if kind is list or kind is tuple:
-            return self.sequence(obj, level)
-        if kind is dict:
-            return self.mapping(obj, level)
-        if kind is Records:
-            return self.records(obj, level)
         if isinstance(obj, bool):
             return "true" if obj else "false"
         if isinstance(obj, (int, np.integer)):
             return str(int(obj))
         if isinstance(obj, (float, np.floating)):
-            return self.float(float(obj))
+            return _fmt_float(float(obj))
         if isinstance(obj, str):
             return _quote(obj)
+        if isinstance(obj, Records):
+            return self.records(obj, level)
         if (isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.size
                 and obj.dtype.kind in ("f", "i", "u")):
             return self.array(obj, level)
@@ -128,7 +100,7 @@ class _Encoder:
             return self.sequence(obj, level)
         if isinstance(obj, dict):
             return self.mapping(obj, level)
-        raise TypeError(f"cannot serialize {kind.__name__}")
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
 
     def sequence(self, obj, level: int) -> str:
         if isinstance(obj, np.ndarray) and obj.ndim == 1:

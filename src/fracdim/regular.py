@@ -78,10 +78,14 @@ class RegularFamily:
             raise ValueError("need k >= 2 and l >= 2")
         if self.depth < 0:
             raise ValueError("depth must be nonnegative")
-        expected = sum(self.l ** n for n in range(self.depth + 1))
-        if len(self.assign) != expected:
-            raise ValueError(
-                f"assignment must cover all {expected} labels up to depth {self.depth}")
+        labels, width = 0, 1   # the labels up to the level reached, and one level below it
+        for _ in range(self.depth + 1):   # stops within log_l(len(assign)) + 2 levels
+            labels, width = labels + width, width * self.l
+            if labels > len(self.assign):
+                break
+        if labels != len(self.assign):
+            raise ValueError(f"assignment must cover every label up to depth {self.depth};"
+                             f" {len(self.assign)} given")
         for lab in self.assign:
             if len(lab) > self.depth or any(not 0 <= c < self.l for c in lab):
                 raise ValueError(f"invalid label {lab!r}")

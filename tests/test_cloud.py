@@ -185,11 +185,25 @@ class TestConstruction:
     def test_duplicates_refused_as_np_unique_finds_them(self, points):
         # the oracle: rows that np.unique(axis=0) merges, 0.0 and -0.0 alike
         duplicated = len(np.unique(np.array(points), axis=0)) < len(points)
-        if duplicated:
-            with pytest.raises(ValueError, match="duplicate"):
+        # and the distances the kernel's arithmetic cannot hold
+        with np.errstate(over="ignore"):
+            overflows = any(np.isinf(distance_row_oracle(points, i, "euclidean")).any()
+                            for i in range(len(points)))
+        if duplicated or overflows:
+            with pytest.raises(ValueError, match="duplicate" if duplicated else "overflow"):
                 PointCloud(points)
         else:
             assert np.array_equal(PointCloud(points).coords, points)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("points, metric", [
+        ([[0, 0], [1e150, 0], [0, 1e150]], "euclidean"),
+        ([[-1e300], [1e300]], "euclidean"),
+        ([[-4e307, 0], [4e307, 0]], "l1"),
+    ])
+    def test_large_finite_distances_kept(self, points, metric):
+        cloud = PointCloud(points, metric=metric)
+        assert np.isfinite([cloud.distances_from(i) for i in range(cloud.n)]).all()
 
     @pytest.mark.parametrize("points", [[], [[]], [[], []]])
     def test_points_without_coordinates_rejected(self, points):
@@ -206,7 +220,12 @@ class TestConstruction:
         ({"metric": "matrix", "matrix": [[0.0, 1.0]]}, "square and non-empty"),
         ({"metric": "matrix", "matrix": [[0.0, np.inf], [np.inf, 0.0]]}, "must be finite"),
         ({"metric": "matrix", "matrix": [[0.5, 1.0], [1.0, 0.0]]}, "diagonal must be zero"),
+        ({"points": [[0, 0], [1e200, 0], [1, 1]]}, "distances overflow a float"),
+        ({"points": [[-1e308], [1e308], [0]]}, "distances overflow a float"),
+        ({"points": [[-1e308], [1e308], [0]], "metric": "l1"}, "distances overflow a float"),
+        ({"points": [[1e308, 0], [0, 1e308], [0, 0]], "metric": "l1"}, "distances overflow"),
     ])
+    @pytest.mark.filterwarnings("error")   # and no overflow warning on the way
     def test_constructor_refusals(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             PointCloud(**kwargs)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracdim import (GeneratorSpec, PointCloud, cantor_cloud, closed_ball,
                      dyadic_interval_cloud, interval_plus_point_cloud,
@@ -148,6 +150,34 @@ class TestCascade:
         v1 = neighborhood_cascade(cloud, 5, 0.45, depth=1)
         v2 = neighborhood_cascade(cloud, 5, 0.45, depth=2)
         assert set(v1.indices) < set(v2.indices)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.integers(0, 64), min_size=1, max_size=12, unique=True),
+           st.integers(0, 11), st.sampled_from([0.1, 0.2, 0.25, 0.3, 0.4, 0.45, 0.49]),
+           st.integers(1, 8))
+    def test_matches_every_round(self, ticks, center, epsilon, depth):
+        cloud = PointCloud(np.array(ticks) / 64.0)
+        center %= cloud.n
+        # the definition: all depth rounds, each one from the set the last one left
+        inside = cloud.distances_from(center) < epsilon - TOL
+        inside[center] = True
+        for n in range(2, depth + 1):
+            inside = inside | np.any([cloud.distances_from(v) < epsilon ** n - TOL
+                                      for v in np.flatnonzero(inside)], axis=0)
+        sub = neighborhood_cascade(cloud, center, epsilon, depth)
+        assert sub.indices.tolist() == np.flatnonzero(inside).tolist()
+
+    def test_stops_after_a_round_that_adds_nothing(self, monkeypatch):
+        cloud = cantor_cloud(3)
+        v2 = neighborhood_cascade(cloud, 0, 0.25, depth=2).indices.tolist()
+        calls = []
+        distances_from = PointCloud.distances_from
+        monkeypatch.setattr(PointCloud, "distances_from",
+                            lambda self, i: calls.append(i) or distances_from(self, i))
+        sub = neighborhood_cascade(cloud, 0, 0.25, depth=10 ** 4)
+        assert sub.indices.tolist() == v2
+        # V_1 from the center, then round 2 from each of its points, which adds nothing
+        assert len(calls) == 1 + len(sub)
 
     def test_validation(self, grid11):
         with pytest.raises(ValueError):

@@ -104,14 +104,36 @@ _EDGE_FLOATS = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 0.1, 2 / 3,
 _KEYS = st.text(max_size=4) | st.sampled_from(["{", "}", "{}", 'a"b', "\u00e9"])
 
 
+# Subclasses of the JSON types: the encoder must dispatch them as their base
+# type and print their values, not their own str().
+class _Int(int):
+    __str__ = __repr__ = lambda self: "not the int's text"
+
+
+class _Float(float):
+    __str__ = __repr__ = lambda self: "not the float's text"
+
+
+class _Str(str):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
 def _scalars(finite: bool):
     floats = (st.floats(allow_nan=not finite, allow_infinity=not finite)
               | st.sampled_from(_EDGE_FLOATS)
               | st.integers(-2 ** 60, 2 ** 60).map(float))
     float32 = st.floats(width=32, allow_nan=not finite, allow_infinity=not finite)
+    float16 = st.floats(width=16, allow_nan=not finite, allow_infinity=not finite)
     scalars = (st.none() | st.booleans() | st.integers() | floats | st.text(max_size=6)
+               | st.integers().map(_Int) | floats.map(_Float) | st.text(max_size=6).map(_Str)
                | st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64)
-               | floats.map(np.float64) | float32.map(np.float32))
+               | st.integers(-2 ** 7, 2 ** 7 - 1).map(np.int8)
+               | st.integers(0, 2 ** 64 - 1).map(np.uint64)
+               | floats.map(np.float64) | float32.map(np.float32) | float16.map(np.float16))
     if not finite:
         scalars = scalars | st.booleans().map(np.bool_)
     arrays = (st.lists(floats, max_size=4)
@@ -142,6 +164,7 @@ def _documents(finite: bool):
         lambda children: (st.lists(children, max_size=4)
                           | st.lists(children, max_size=4).map(tuple)
                           | st.dictionaries(_KEYS | st.integers(-3, 3), children, max_size=4)
+                          | st.dictionaries(_KEYS, children, max_size=4).map(_Dict)
                           | _record_list(children)),
         max_leaves=30)
 

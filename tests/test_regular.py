@@ -73,6 +73,9 @@ class TestVerify:
         (2, 2, -1, {(): 0}, "depth must be nonnegative"),
         (2, 2, 1, {(): 0, (0,): 1, (2,): 2}, "invalid label"),
         (2, 2, 1, {(): 0, (0,): 1, (0, 1): 2}, "invalid label"),
+        (2, 2, 0, {(): 0, (0,): 1}, "every label up to depth 0; 2 given"),
+        # the full count has 30,104 digits: counting stops once it passes the labels given
+        (2, 2, 100_000, {(): 0}, "every label up to depth 100000; 1 given"),
     ])
     def test_shape_refusals(self, k, l, depth, assign, message):
         with pytest.raises(ValueError, match=message):
