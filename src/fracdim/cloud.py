@@ -48,12 +48,13 @@ _BLOCK_ELEMENTS = 2 ** 17
 class PointCloud:
     """Immutable finite metric space.
 
-    Coordinate mode stores an (n, d) float array; matrix mode stores a
-    validated symmetric nonnegative matrix with zero diagonal.  Duplicate
-    points (zero off-diagonal distance) are rejected at construction:
-    separation checks downstream presuppose distinct points, and silently
-    merging would hide generator bugs.  ``tol`` is the absolute tolerance of
-    a matrix's symmetry and triangle checks; the cloud does not keep it.
+    Coordinate mode stores an (n, d) float array.  Matrix mode validates a
+    nonnegative matrix m with zero diagonal, symmetric within ``tol``, and
+    stores max(m, m.T) as ``matrix``, not m: every distance reads the same
+    either way round.  Duplicate points (zero off-diagonal distance) are
+    rejected at construction: separation checks downstream presuppose
+    distinct points, and silently merging would hide generator bugs.
+    ``tol`` is the absolute tolerance of a matrix's checks; the cloud does not keep it.
     """
 
     def __init__(self, points=None, metric: str = "euclidean",
@@ -116,17 +117,15 @@ class PointCloud:
         ``idx``), rows and columns in the given orders."""
         idx = np.asarray(idx, dtype=np.int64)
         cols = idx if cols is None else np.asarray(cols, dtype=np.int64)
-        if self.matrix is not None:
-            return self.matrix[np.ix_(idx, cols)]
-        return _distance_block(self.coords[idx], self.coords[cols], self.metric)
+        out = np.empty((idx.size, cols.size))
+        for start, block in self._blocks(idx, cols):
+            out[start:start + len(block)] = block
+        return out
 
     def distance(self, i: int, j: int) -> float:
         self._check_index(i)
         self._check_index(j)
-        if self.matrix is not None:
-            return float(self.matrix[i, j])
-        return float(_distance_block(self.coords[i:i + 1], self.coords[j:j + 1],
-                                     self.metric)[0, 0])
+        return float(next(self._blocks([i], [j]))[1][0, 0])
 
     def _blocks(self, idx=None, cols=None):
         """Distances from the points ``idx`` (default all) to the points
@@ -142,7 +141,7 @@ class PointCloud:
             return
         rows = max(1, _BLOCK_ELEMENTS // max(1, cols.size))
         for start in range(0, idx.size, rows):
-            yield start, self.matrix[np.ix_(idx[start:start + rows], cols)]
+            yield start, self.matrix[idx[start:start + rows, None], cols]
 
     def diam(self) -> float:
         if self._diam is None:
@@ -224,14 +223,6 @@ def _distance_blocks(a: np.ndarray, b: np.ndarray, metric: str):
         yield start, block
 
 
-def _distance_block(a: np.ndarray, b: np.ndarray, metric: str) -> np.ndarray:
-    """All of :func:`_distance_blocks` as one len(a) x len(b) matrix."""
-    out = np.empty((len(a), len(b)))
-    for start, block in _distance_blocks(a, b, metric):
-        out[start:start + len(block)] = block
-    return out
-
-
 def _upper(start: int, block: np.ndarray) -> np.ndarray:
     """Mask of the entries of ``block`` (rows from ``start`` on) above the diagonal."""
     return np.arange(block.shape[1]) > np.arange(start, start + len(block))[:, None]
@@ -258,6 +249,8 @@ def _validated_coords(points, metric: str) -> np.ndarray:
 
 
 def _validated_matrix(m: np.ndarray, tol: float) -> np.ndarray:
+    """max(m, m.T), once ``m`` passes every check.  Entries only grow, so it keeps what
+    was checked: max(m[i, k], m[k, i]) <= m'[i, j] + m'[j, k] + tol for all i, j, k."""
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
         raise ValueError("distance matrix must be square and non-empty")
     if not np.all(np.isfinite(m)):
@@ -283,7 +276,7 @@ def _validated_matrix(m: np.ndarray, tol: float) -> np.ndarray:
         i, j, k = trip[:, 0], trip[:, 1], trip[:, 2]
         if np.any(m[i, k] > m[i, j] + m[j, k] + tol):
             raise ValueError("triangle inequality violated (sampled)")
-    return m
+    return np.maximum(m, m.T)
 
 
 def diameter(cloud: PointCloud, subset: Optional[Subset] = None) -> float:

@@ -145,11 +145,6 @@ def _unpacked_bits(ints: List[int], size: int) -> np.ndarray:
     return np.unpackbits(packed, axis=1, count=size, bitorder="little")
 
 
-def _transposed(rows: List[int]) -> List[int]:
-    """The columns of the square bitset relation ``rows``, as rows."""
-    return _packed_ints(_unpacked_bits(rows, len(rows)).T)
-
-
 def _scan(rows: List[int], uncovered: int) -> Tuple[List[int], List[int]]:
     """The greedy scan (see the module docstring) over bitset ``rows``, as
     (members, ends): part i holds the positions ``members[ends[i]:ends[i + 1]]``.
@@ -172,7 +167,7 @@ def _scan(rows: List[int], uncovered: int) -> Tuple[List[int], List[int]]:
 
 def _greedy_counts(rows: List[int], columns: List[List[int]]) -> np.ndarray:
     """Entry (c, j) is the number of greedy parts (:func:`_scan`) under bitset
-    ``rows`` of the j-th ball of center c: the positions u whose column
+    ``rows`` of the j-th ball of center c: the positions u whose row (= column)
     ``columns[j][u]`` has bit c set.  Equal to scanning the balls one by one.
 
     All balls go through one pass over the positions t in increasing order.
@@ -313,7 +308,7 @@ def _ball_counts(cloud: PointCloud, idx: np.ndarray, pairs: List[Tuple[float, fl
     mask, computed center by center, then pair by pair.  With ``count``
     None, an entry is the greedy scan's count of that ball, and the pairs
     sharing an r are counted together by :func:`_greedy_counts`, which
-    reads each ball through the columns of the relation at R.
+    reads each ball as a column (= row) of the relation at R.
     """
     counts = np.empty((idx.size, len(pairs)), dtype=np.int64)
     if not pairs:
@@ -334,13 +329,9 @@ def _ball_counts(cloud: PointCloud, idx: np.ndarray, pairs: List[Tuple[float, fl
         for t in range(idx.size):
             counts[t] = [count(relation[r], relation[R][t]) for R, r in pairs]
         return counts
-    # Coordinate relations are symmetric bit for bit (cloud._distance_blocks),
-    # so their rows are their columns; a matrix is symmetric only within tol.
-    column = relation if cloud.coords is not None else \
-        {R: _transposed(relation[R]) for R, _ in pairs}
     for r in {r for _, r in pairs}:
         at = [p for p, (_, s) in enumerate(pairs) if s == r]
-        counts[:, at] = _greedy_counts(relation[r], [column[pairs[p][0]] for p in at])
+        counts[:, at] = _greedy_counts(relation[r], [relation[pairs[p][0]] for p in at])
     return counts
 
 

@@ -205,10 +205,10 @@ class _Search:
     ``levels``.  Each search has its own budget and choice memo; the rows and
     the lookahead and pack memos do not depend on the depth and serve them all.
     Off 1-D clouds, the first touch of a point q reads its distances once into
-    three bitset rows (bit u = point u) per level n: the child ball
-    ``d <= child_radius(n) + tol``, the pack relation ``d <= (sep - 3*tol) + tol``
-    and separation ``d >= sep - tol``, sep being level n + 1's.  Points keep their
-    rows while all fit in 8 * ``_DENSE_CAP`` bytes (the n x n matrix's 64 MB).
+    two bitset rows (bit u = point u) per level n: the child ball
+    ``d <= child_radius(n) + tol`` and separation ``d >= sep - tol``, sep being
+    level n + 1's.  Points keep their rows while all fit in 8 * ``_DENSE_CAP``
+    bytes (64 MB).
     """
 
     def __init__(self, cloud: PointCloud, k: int, l: int, strong: bool, tol: float,
@@ -219,13 +219,12 @@ class _Search:
         self.levels = levels
         # (point, level) -> lookahead, (level, candidates) -> pack bound, point -> rows
         self._plausible, self._packs, self._held = {}, {}, {}
-        self._bounds: List[Tuple[float, float, float]] = []
+        self._bounds: List[Tuple[float, float]] = []
         for n in range(levels):
-            sep = level_separation(k, n + 1)
-            self._bounds.append((child_radius(k, n) + tol, (sep - 3 * tol) + tol, sep - tol))
-            if self._bounds[-1] == (0.0 + tol, (0.0 - 3 * tol) + tol, 0.0 - tol):
+            self._bounds.append((child_radius(k, n) + tol, level_separation(k, n + 1) - tol))
+            if self._bounds[-1] == (0.0 + tol, 0.0 - tol):
                 break   # every deeper level compares alike and reads these rows
-        row_bytes = 3 * len(self._bounds) * sys.getsizeof((1 << cloud.n) - 1)
+        row_bytes = 2 * len(self._bounds) * sys.getsizeof((1 << cloud.n) - 1)
         self._hold = 8 * _cloud._DENSE_CAP // max(1, row_bytes)
 
     def _tick(self) -> None:
@@ -234,15 +233,14 @@ class _Search:
             raise _BudgetExhausted
 
     def _row(self, q: int, level: int, kind: int) -> int:
-        """q's bitset row ``kind`` (0 child ball, 1 pack relation, 2 separation)."""
+        """q's bitset row ``kind`` (0 child ball, 1 separation)."""
         rows = self._held.get(q)
         if rows is None:
             d = self.cloud.distances_from(q)
-            rows = _packed_ints([rel for ball, pack, sep in self._bounds
-                                 for rel in (d <= ball, d <= pack, d >= sep)])
+            rows = _packed_ints([rel for ball, sep in self._bounds for rel in (d <= ball, d >= sep)])
             if len(self._held) < self._hold:
                 self._held[q] = rows
-        return rows[3 * min(level, len(self._bounds) - 1) + kind]
+        return rows[2 * min(level, len(self._bounds) - 1) + kind]
 
     def _pool(self, point: int, level: int):
         """Candidate children of ``point`` at ``level``, in search order."""
@@ -258,13 +256,11 @@ class _Search:
             return m
         if self.cloud.dim == 1:
             return len(_sweep_pack(self.cloud.coords[cands, 0], sep, self.tol))
-        # Any cover by parts of diameter < sep admits at most one separated
-        # point per part, so a greedy cover count bounds the packing.
-        if sep <= 3 * self.tol:
-            return m
+        # A greedy part under "not separated" (d < sep - tol, rows being symmetric)
+        # holds at most one point of a separated subset.
         key = (level, tuple(cands))
         if key not in self._packs:
-            rows = {q: self._row(q, level, 1) for q in cands}
+            rows = {q: ~self._row(q, level, 1) for q in cands}
             self._packs[key] = len(_greedy_cover_parts(rows, sum(1 << q for q in cands)))
         return self._packs[key]
 
@@ -343,7 +339,7 @@ class _Search:
             return None
         for i in range(pos, len(cands)):
             q = cands[i]
-            if (chosen and self._row(q, level, 2) & chosen != chosen
+            if (chosen and self._row(q, level, 1) & chosen != chosen
                     or self.subtree(q, level + 1, rest - 1) is None):
                 continue
             self._tick()

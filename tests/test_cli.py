@@ -189,6 +189,17 @@ class TestCertify:
         assert proc.returncode == 0 and json.loads(proc.stdout)["found"] is True
         assert _run_module("verify", str(cloud_path), str(cert_path)).returncode == 0
 
+    def test_matrix_symmetric_within_tol(self, tmp_path):
+        # d(1, 2) < 1 - tol <= d(2, 1), 1 being level 1's separation: the stored
+        # matrix holds the larger, so the search and the verifier agree
+        cloud_path, cert_path = tmp_path / "m.json", tmp_path / "cert.json"
+        cloud_path.write_text(json.dumps({"metric": "matrix", "matrix": [
+            [0, 0.5, 0.5], [0.5, 0, 0.9999999999985], [0.5, 0.999999999999, 0]]}))
+        proc = _run_module("certify", str(cloud_path), "--k", "2", "--l", "2", "--depth", "1",
+                           "--out", str(cert_path))
+        assert proc.returncode == 0 and json.loads(proc.stdout)["found"] is True
+        assert _run_module("verify", str(cloud_path), str(cert_path)).returncode == 0
+
 
 class TestVerify:
     @pytest.fixture

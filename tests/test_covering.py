@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import fracdim.cloud as cloud_module
 import fracdim.covering as covering_module
+import fracdim.regular as regular_module
 from fracdim import (PointCloud, RegularFamily, ScaleWindow, Subset, cantor_cloud,
                      certificate_scaling_check, closed_ball, covering_number, diameter,
                      hausdorff_distance, lower_dim_estimate, maximal_separated_family,
@@ -20,7 +21,7 @@ from fracdim import (PointCloud, RegularFamily, ScaleWindow, Subset, cantor_clou
 from fracdim.covering import (CoverResult, PackResult, _ball_counts, _bb_max_separated,
                               _bb_min_clique_cover, _greedy_cover_parts, _greedy_pack_indices,
                               _greedy_parts, _min_clique_cover, _relation_rows, _scan, _separated_lower_bound,
-                              _sweep_cover_counts, _sweep_cover_parts)
+                              _sweep_cover_counts, _sweep_cover_parts, _unpacked_bits)
 from oracles import (bb_max_separated_oracle, bb_min_clique_cover_oracle,
                      certified_cover_count_1d, distance_row_oracle, exact_cover_oracle,
                      exact_pack_oracle, greedy_cover_oracle, greedy_estimate_counts_oracle,
@@ -624,14 +625,15 @@ class TestBallCounts:
                 assert _ball_counts(fresh(), idx, pairs, TOL, count).tolist() == want.tolist()
 
     def test_greedy_reads_balls_by_column(self):
-        # symmetric only within tol: 1 lies in B(0, 1), as d(0, 1) = 1 + tol, but
-        # 0 does not lie in B(1, 1), as d(1, 0) = 1 + 1.5 tol.  Read by row, the
-        # relation at R would put 0 in center 1's ball and drop 1 from center 0's.
+        # symmetric only within tol: d(0, 1) = 1 + tol would put 1 in B(0, 1), but
+        # d(1, 0) = 1 + 1.5 tol would not put 0 in B(1, 1).  The cloud stores the
+        # larger both ways round, so rows and columns agree: neither ball holds both.
         dmat = np.array([[0.0, 1 + TOL, 0.5], [1 + 1.5 * TOL, 0.0, 0.6], [0.5, 0.6, 0.0]])
         cloud = PointCloud.from_matrix(dmat)
-        assert dmat[0, 1] <= 1 + TOL < dmat[1, 0]
-        want = [[3], [2], [3]]
-        assert greedy_estimate_counts_oracle(dmat, [(1.0, 0.25)], TOL) == want
+        stored = np.maximum(dmat, dmat.T)
+        assert dmat[0, 1] <= 1 + TOL < dmat[1, 0] and np.array_equal(cloud.matrix, stored)
+        want = [[2], [2], [3]]
+        assert greedy_estimate_counts_oracle(stored, [(1.0, 0.25)], TOL) == want
         for count in (None, _scan_count):
             assert _ball_counts(cloud, np.arange(3), [(1.0, 0.25)], TOL, count).tolist() == want
 
@@ -645,6 +647,79 @@ class TestBallCounts:
         matrix = PointCloud.from_matrix(dmat)
         assert _ball_counts(matrix, np.arange(3), [(1.0, 0.5), (1.0, 1.0)], TOL,
                             _exact_count).tolist() == [[2, 1], [2, 1], [1, 1]]
+
+
+# A dyadic tol: a distance plus tol or tol / 2 is exact, so is the asymmetry it makes.
+_DYADIC_TOL = 2.0 ** -40
+
+
+@st.composite
+def _asymmetric_matrices(draw):
+    """A metric on at most 8 points with its upper or lower triangle raised by 0,
+    tol / 2 or tol: random euclidean distances, or point 0 at 1/2 from points
+    pairwise within 2.5 tol of 1, level 1's separation at k = 2."""
+    n = draw(st.integers(2, 8))
+    if draw(st.booleans()):
+        dmat = random_metric_cloud(np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))), n, 2)
+    else:
+        steps = draw(st.lists(st.integers(-5, 0), min_size=n * n, max_size=n * n))
+        dmat = 1 + np.reshape(steps, (n, n)) * (_DYADIC_TOL / 2)
+        dmat = np.minimum(dmat, dmat.T)
+        dmat[0, :] = dmat[:, 0] = 0.5
+        np.fill_diagonal(dmat, 0.0)
+    lift = draw(st.lists(st.sampled_from([0.0, _DYADIC_TOL / 2, _DYADIC_TOL]),
+                         min_size=n * n, max_size=n * n))
+    lifted = dmat + np.triu(np.reshape(lift, (n, n)), 1)
+    return lifted.T if draw(st.booleans()) else lifted
+
+
+class TestSymmetricStorage:
+    """A matrix symmetric only within tol is stored as max(m, m.T), and every
+    layer, from relation rows to the certificate search, reads that."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(_asymmetric_matrices(), st.integers(1, 2), st.booleans(), st.data())
+    # d(1, 2) < 1 - tol <= d(2, 1): separated read from 2, as the search read it, not from 1
+    @example(np.array([[0, .5, .5], [.5, 0, 1 - 1.5 * _DYADIC_TOL],
+                       [.5, 1 - .5 * _DYADIC_TOL, 0]]), 1, False, None)
+    # d(1, 2) = 1 - 2 tol: one part with 1 under "within 1 - 2 tol" read from 1, yet
+    # separated from 1 read from 2, so 1, 2 and 3 would pack in two parts
+    @example(np.array([[0, .5, .5, .5], [.5, 0, 1 - 2 * _DYADIC_TOL, 1],
+                       [.5, 1 - _DYADIC_TOL, 0, 1], [.5, 1, 1, 0]]), 1, False, None)
+    def test_every_layer_reads_the_stored_matrix(self, dmat, depth, strong, data):
+        tol, n = _DYADIC_TOL, len(dmat)
+        cloud = PointCloud(metric="matrix", matrix=dmat, tol=tol)
+        stored = np.maximum(dmat, dmat.T)
+        assert np.array_equal(cloud.matrix, stored)
+        scales = sorted({float(d) for d in stored[np.triu_indices(n, 1)]})
+        relations = _relation_rows(cloud, np.arange(n), *[lambda d, s=s: d <= s + tol for s in scales],
+                                   *[lambda d, s=s: d >= s - tol for s in scales])
+        for rows in relations:
+            bits = _unpacked_bits(rows, n)
+            assert np.array_equal(bits, bits.T)
+
+        if data is None:    # every point, in index order
+            idx, pairs, cands = np.arange(n), [(1.0, 0.5)], list(range(n))
+        else:
+            idx = np.asarray(data.draw(st.permutations(range(n))), dtype=np.int64)
+            pairs = data.draw(st.lists(st.tuples(st.sampled_from(scales), st.sampled_from(scales)),
+                                       min_size=1, max_size=3))
+            cands = sorted(data.draw(st.sets(st.sampled_from(range(n)), min_size=1)))
+        sub = stored[np.ix_(idx, idx)]
+        greedy = greedy_estimate_counts_oracle(sub, pairs, tol)
+        balls = [[np.flatnonzero(row <= R + tol) for R, _ in pairs] for row in sub]
+        exact = [[exact_cover_oracle(sub[np.ix_(ball, ball)], r, tol)
+                  for ball, (_, r) in zip(row, pairs)] for row in balls]
+        assert _ball_counts(cloud, idx, pairs, tol).tolist() == greedy
+        assert _ball_counts(cloud, idx, pairs, tol, _exact_count).tolist() == exact
+
+        res = search_regular(cloud, 2, 2, depth, strong=strong, tol=tol)   # raises if unverified
+        assert res.family is None or verify_regular(cloud, res.family, tol).ok
+        session = regular_module._Search(cloud, 2, 2, strong, tol, depth)
+        for level in range(depth):
+            sep = regular_module.level_separation(2, level + 1)
+            largest = exact_pack_oracle(stored[np.ix_(cands, cands)], sep, tol)
+            assert session._pack_upper_bound(level, cands) >= largest
 
 
 class TestProperties:

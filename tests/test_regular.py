@@ -244,6 +244,32 @@ class TestSearch:
         with pytest.raises(ValueError):
             search_regular(grid11, 2, 2, 1, budget=0)
 
+    def test_matrix_symmetric_within_tol(self):
+        # d(1, 2) is below level 1's sep - tol = 1 - tol and d(2, 1) is not: the
+        # cloud stores the larger, so the search and the verifier, which read
+        # the pair from opposite ends, both find 1 and 2 separated
+        m = np.array([[0, 0.5, 0.5], [0.5, 0, 0.9999999999985], [0.5, 0.999999999999, 0]])
+        cloud = PointCloud.from_matrix(m)
+        assert m[1, 2] < 1 - TOL <= m[2, 1] and cloud.distance(1, 2) == m[2, 1]
+        res = search_regular(cloud, 2, 2, 1)
+        assert _outcome(res)[1:] == ("found", _family_dict(2, 2, 1, False, [0, 1, 2]))
+        assert verify_regular(cloud, res.family).ok
+
+    def test_session_must_match_the_search(self):
+        # a session lends its rows and memos only to a search of its own cloud,
+        # k, l, strong and tol, and to at most its number of levels
+        cloud = embed_tree(FiniteTree.full_tree(3, 2))
+        expected = _outcome(search_regular(cloud, 2, 2, 3))
+        twin = embed_tree(FiniteTree.full_tree(3, 2))     # equal points, another cloud
+        for args in ((twin, 2, 2, False, TOL, 3), (cloud, 3, 2, False, TOL, 3),
+                     (cloud, 2, 3, False, TOL, 3), (cloud, 2, 2, True, TOL, 3),
+                     (cloud, 2, 2, False, 2 * TOL, 3), (cloud, 2, 2, False, TOL, 2)):
+            with pytest.raises(ValueError, match="search session"):
+                search_regular(cloud, 2, 2, 3, session=regular_module._Search(*args))
+        session = regular_module._Search(cloud, 2, 2, False, TOL, 4)
+        for _ in range(2):      # a second search reuses the rows and memos of the first
+            assert _outcome(search_regular(cloud, 2, 2, 3, session=session)) == expected
+
 
 class TestChooseParameters:
     def test_hand_enumerated_examples(self):
@@ -721,7 +747,7 @@ class TestMatrixOwner:
         cloud = PointCloud(coords, metric=metric)
         expected = _outcome(search_regular(cloud, 2, 2, depth))
         monkeypatch.setattr(cloud_module, "_DENSE_CAP",
-                            40 * 3 * depth * sys.getsizeof((1 << cloud.n) - 1) // 8)
+                            40 * 2 * depth * sys.getsizeof((1 << cloud.n) - 1) // 8)
         assert _outcome(search_regular(cloud, 2, 2, depth)) == expected
         session = sessions[-1]
         assert len(session._held) == 40
