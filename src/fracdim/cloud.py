@@ -40,9 +40,11 @@ _TRIANGLE_EXHAUSTIVE_LIMIT = 1000
 # rows within 8 * _DENSE_CAP bytes.  Chosen from memory, not measured.
 _DENSE_CAP = 2 ** 23
 
-# A block of the distance kernel holds at most about this many float64 (1 MB)
-# in its coordinate-difference temporary.
-_BLOCK_ELEMENTS = 2 ** 17
+# The distance kernel's budget per block, in float64: a block's (rows, columns, d)
+# coordinate-difference temporary holds at most about this many (0.5 MB), and its
+# (rows, columns) block of distances a d-th of that.  A matrix cloud's sliced
+# blocks hold this many distances.
+_BLOCK_ELEMENTS = 2 ** 16
 
 
 class PointCloud:
@@ -204,7 +206,9 @@ def _distance_blocks(a: np.ndarray, b: np.ndarray, metric: str):
     coordinate metric, as (first row, block of rows) pairs.
 
     The one distance kernel of the package.  Each block's (rows, len(b), d)
-    difference temporary holds about ``_BLOCK_ELEMENTS`` entries.  Each
+    difference temporary holds about ``_BLOCK_ELEMENTS`` entries (one row at
+    least), and it is released before the block is yielded, so the next
+    block's temporary never coexists with this one's.  Each
     entry is computed on its own coordinate differences, so it does not
     depend on the blocking or on which other points are in ``a`` and ``b``,
     and the result is symmetric bit for bit when ``a`` is ``b``.
@@ -220,6 +224,7 @@ def _distance_blocks(a: np.ndarray, b: np.ndarray, metric: str):
             np.sqrt(block, out=block)
         else:
             block = np.abs(diff, out=diff).sum(axis=2)
+        del diff
         yield start, block
 
 

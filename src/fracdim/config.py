@@ -32,16 +32,30 @@ _JSON_CHECKS = {
 }
 
 
+def _height(column) -> int:
+    """How many values a Records column holds: an array's size, else its length."""
+    size = getattr(column, "size", None)
+    return len(column) if size is None else size
+
+
 @dataclass(frozen=True)
 class Records:
-    """Same-key records by column: ``columns[j][i]`` is record i's value under ``keys[j]``."""
+    """Same-key records by column: record i's value under ``keys[j]`` is value i of
+    ``columns[j]``.  A column is a list or tuple of values, or an array read in
+    row-major order: a finite int or float array of any shape (a broadcast view
+    too) is never copied whole, so an (n, P) table needs no flattened columns.
+    Rows are counted by size, so an (n, 0) column holds no record."""
 
     keys: tuple
     columns: tuple
 
     def __post_init__(self) -> None:
-        if len(self.columns) != len(self.keys) or len(set(map(len, self.columns))) != 1:
+        if len(self.columns) != len(self.keys) or len(set(map(_height, self.columns))) != 1:
             raise ValueError("Records needs one column of one length per key")
+
+    @property
+    def rows(self) -> int:
+        return _height(self.columns[0])
 
 
 def _checked_object(data, what: str, fields: dict, required=()) -> dict:

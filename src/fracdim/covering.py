@@ -125,6 +125,7 @@ def _relation_rows(cloud: PointCloud, idx: np.ndarray, *related) -> List[List[in
     for _, block in cloud._blocks(idx):
         for rows, relate in zip(relations, related):
             rows.extend(_packed_ints(relate(block)))
+        del block   # a matrix cloud's slice is freed before the next one is cut
     return relations
 
 

@@ -9,9 +9,11 @@ artifacts.  The ``estimate --csv`` table uses the same float text.
 Each value takes one ``isinstance`` dispatch, and a scalar float is
 formatted where it stands, with no cache.  A :class:`fracdim.config.Records`
 (the estimate table) is written as the list of dicts it stands for, column
-by column, and a 2-D int or float array (a cloud's points or matrix) as its
-list of rows.  Every step that can fail (type dispatch, the non-finite
-refusal) runs before the first character is written.  What the encoder
+by column (an array column, such as the table's (centers x pairs) arrays
+and broadcast views, in row-major order), and a 2-D int or float array (a
+cloud's points or matrix) as its list of rows.  Every step that can fail
+(type dispatch, the non-finite refusal) runs before the first character is
+written.  What the encoder
 defers cannot fail: the text of a Records' int and float array columns and
 of a 2-D array's values, each distinct value of a block formatted once, and
 the joining of their rows.  A Records block is ``_BLOCK`` rows; an array
@@ -41,7 +43,8 @@ from .lowerdim import EstimateReport
 from .regular import RegularFamily
 from .trees import FiniteTree
 
-# rows of a Records, or values of a 2-D array (at least one row), joined into one string at a time
+# rows of a Records joined into one string at a time, or values of a 2-D array or of a
+# Records' array column formatted at a time (whole rows, at least one)
 _BLOCK = 1024
 # where a Records' or an array's rows go in the encoder's text; _quote escapes every NUL
 _HOLE = "\0"
@@ -121,7 +124,7 @@ class _Encoder:
     def records(self, rec: Records, level: int) -> str:
         """``rec`` as its list of dicts: its columns checked now, its rows as a
         hole whose row blocks go to ``bodies``."""
-        if not len(rec.columns[0]):
+        if not rec.rows:
             return "[]"
         texts = [self.column(column, level + 2) for column in rec.columns]
         _, sep, _ = self.layout(level)
@@ -165,18 +168,21 @@ class _Encoder:
         return "[" + first + _HOLE + last + "]"
 
     def column(self, values, level: int):
-        """Each value's text, in order.  A 1-D int or float array is checked
-        now and formatted later, ``_BLOCK`` values at a time."""
-        kind = values.dtype.kind if isinstance(values, np.ndarray) and values.ndim == 1 else ""
+        """Each value's text, in order (an array's in row-major order).  An int
+        or float array is checked now and formatted later, a whole number of
+        rows of about ``_BLOCK`` values (or one wider row) at a time, so only
+        a block of a broadcast view is ever copied."""
+        kind = values.dtype.kind if isinstance(values, np.ndarray) else ""
         if kind not in ("f", "i", "u"):   # a Records among the values is joined within its row
             bodies, self.bodies = self.bodies, None
-            texts = [self.encode(x, level) for x in values]
+            texts = [self.encode(x, level) for x in (values.ravel() if kind else values)]
             self.bodies = bodies
             return texts
         if kind == "f" and not np.isfinite(values).all():
             raise ValueError(_NON_FINITE)
-        return chain.from_iterable(self.array_texts(values[start:start + _BLOCK])
-                                   for start in range(0, len(values), _BLOCK))
+        step = max(1, _BLOCK // max(1, math.prod(values.shape[1:])))
+        return chain.from_iterable(self.array_texts(values[start:start + step].ravel())
+                                   for start in range(0, len(values), step))
 
     @staticmethod
     def array_texts(values: np.ndarray) -> list:

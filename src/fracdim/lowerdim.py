@@ -113,8 +113,11 @@ class EstimateReport:
         return type(other) is EstimateReport and fields(self) == fields(other)
 
     def to_dict(self) -> dict:
-        n, p = self.counts.shape
-        big, small = np.array(self.pairs, dtype=float).reshape(p, 2).T
+        """The report's JSON object.  Its table's columns are (centers x pairs)
+        arrays: ``counts`` and ``exponents`` as they are, and center, R and r as
+        broadcast views, so no column of the table is built."""
+        shape = self.counts.shape
+        big, small = np.array(self.pairs, dtype=float).reshape(shape[1], 2).T
         return {
             "alpha_hat": self.alpha_hat,
             "argmin": None if self.argmin is None else
@@ -123,8 +126,9 @@ class EstimateReport:
             "mode": self.mode,
             "semantics": SEMANTICS_NOTE,
             "table": Records(("center", "R", "r", "count", "exponent"),
-                             (np.repeat(np.arange(n), p), np.tile(big, n), np.tile(small, n),
-                              self.counts.ravel(), self.exponents.ravel())),
+                             (np.broadcast_to(np.arange(shape[0])[:, None], shape),
+                              np.broadcast_to(big, shape), np.broadcast_to(small, shape),
+                              self.counts, self.exponents)),
         }
 
 

@@ -323,17 +323,21 @@ class TestDistanceLayer:
     @pytest.mark.parametrize("d", [1, 2, 3, 5, 9, 50])
     def test_dense_and_rows_match_per_row_arithmetic(self, d, metric):
         rng = np.random.default_rng(d)
-        # 301 points: not a multiple of the kernel's block rows for any d here
-        coords = rng.normal(size=(301, d)) * rng.uniform(0.1, 100.0)
-        expected = np.stack([distance_row_oracle(coords, i, metric) for i in range(301)])
+        # 302 points: not a multiple of the kernel's block rows for any d here, computed
+        # or sliced from a matrix, at 2 ** 16 and 2 ** 17 alike, so a last block is partial
+        n = 302
+        for width in (d, 1):
+            assert n % max(1, cloud_module._BLOCK_ELEMENTS // (n * width)) != 0
+        coords = rng.normal(size=(n, d)) * rng.uniform(0.1, 100.0)
+        expected = np.stack([distance_row_oracle(coords, i, metric) for i in range(n)])
         idx = np.array([299, 3, 3, 77])
         # a matrix cloud of the same distances slices what the coordinate cloud computes
         for cloud in (PointCloud(coords, metric=metric), PointCloud.from_matrix(expected)):
-            for i in (0, 150, 300):
+            for i in (0, 150, n - 1):
                 assert np.array_equal(cloud.distances_from(i), expected[i])
             assert np.array_equal(cloud.pairwise(idx), expected[np.ix_(idx, idx)])
             assert cloud.diam() == expected.max()
-            assert cloud.min_positive_gap() == expected[np.triu_indices(301, 1)].min()
+            assert cloud.min_positive_gap() == expected[np.triu_indices(n, 1)].min()
 
     @pytest.mark.parametrize("lowered_cap", [False, True])
     def test_scans_hold_one_block(self, monkeypatch, lowered_cap):

@@ -2,6 +2,7 @@ import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -720,6 +721,25 @@ class TestSymmetricStorage:
             sep = regular_module.level_separation(2, level + 1)
             largest = exact_pack_oracle(stored[np.ix_(cands, cands)], sep, tol)
             assert session._pack_upper_bound(level, cands) >= largest
+
+
+class TestRelationRowsWorkingSet:
+    """The kernel's blocks and temporaries are released as the rows are packed:
+    one distance block's worth of memory above the rows themselves."""
+
+    @pytest.mark.parametrize("d, metric", [(2, "euclidean"), (8, "l1")])
+    def test_peak_above_the_rows_is_below_1_5_mb(self, d, metric):
+        cloud = PointCloud(np.random.default_rng(d).uniform(size=(400, d)), metric=metric)
+        scales = 2.0 ** -np.arange(1, 7)
+        related = [lambda dist, s=s: dist <= s + TOL for s in scales]
+        tracemalloc.start()
+        try:
+            relations = _relation_rows(cloud, np.arange(cloud.n), *related)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [len(rows) for rows in relations] == [cloud.n] * 6
+        assert peak - held < 1_500_000
 
 
 class TestProperties:

@@ -199,7 +199,7 @@ _FLOATS = (st.sampled_from(_EDGE_FLOATS) | st.floats(allow_nan=False, allow_infi
 
 def _column(rows: int):
     """One Records column: a float, int or unsigned array, or a list of any
-    finite scalars, Python and numpy."""
+    finite scalars, Python and numpy, or a 2-D array of ``rows`` values."""
     def size(values):
         return st.lists(values, min_size=rows, max_size=rows)
 
@@ -210,7 +210,20 @@ def _column(rows: int):
         size(st.integers(-2 ** 63, 2 ** 63 - 1)).map(lambda v: np.array(v, dtype=np.int64)),
         size(st.integers(0, 2 ** 64 - 1)).map(lambda v: np.array(v, dtype=np.uint64)),
         size(_FLOATS | st.integers() | st.booleans()),
-        size(_scalars(finite=True)))
+        size(_scalars(finite=True)),
+        _table_column(rows))
+
+
+@st.composite
+def _table_column(draw, rows: int):
+    """A 2-D column of ``rows`` values, read in row-major order: a C-ordered
+    (n, P) array, or a broadcast view of one row or one column.  No rows is
+    also (n, 0) or (0, P), as an estimate over an empty window or no centers."""
+    shapes = ([(0, 0), (3, 0), (0, 4)] if not rows
+              else [(n, rows // n) for n in range(1, rows + 1) if rows % n == 0])
+    n, p = draw(st.sampled_from(shapes))
+    base = draw(st.sampled_from([(n, p), (1, p), (n, 1)]).flatmap(lambda s: _arrays(*s)))
+    return base if base.shape == (n, p) else np.broadcast_to(base, (n, p))
 
 
 @st.composite
@@ -219,7 +232,8 @@ def _records(draw, rows=st.integers(0, 6)):
     keys = tuple(draw(st.lists(_KEYS, min_size=1, max_size=4, unique=True)))
     rows = draw(rows)
     columns = tuple(draw(_column(rows)) for _ in keys)
-    return Records(keys, columns), [dict(zip(keys, row)) for row in zip(*columns)]
+    values = [c.reshape(-1) if isinstance(c, np.ndarray) else c for c in columns]
+    return Records(keys, columns), [dict(zip(keys, row)) for row in zip(*values)]
 
 
 class TestRecords:
@@ -250,7 +264,8 @@ class TestRecords:
                 io.dumps_canonical(Records(("a", "b"), (column, [2, 3])), indent=2)
 
     @pytest.mark.parametrize("keys, columns", [((), ()), (("a", "b"), ([1],)),
-                                               (("a", "b"), ([1], [1, 2]))])
+                                               (("a", "b"), ([1], [1, 2])),
+                                               (("a", "b"), (np.zeros((2, 3)), [1, 2]))])
     def test_shape_checked(self, keys, columns):
         with pytest.raises(ValueError):
             Records(keys, columns)
@@ -279,6 +294,16 @@ def _arrays(rows: int, width: int):
         size(st.integers(0, 2 ** 64 - 1)).map(lambda v: np.array(v, dtype=np.uint64)),
         size(st.integers(-2 ** 15, 2 ** 15 - 1)).map(lambda v: np.array(v, dtype=np.int16)),
     ).map(lambda a: a.reshape(rows, width))
+
+
+def _row_writer_csv(report: EstimateReport) -> bytes:
+    """The report's CSV as the csv.writer row loop over its table writes it."""
+    expected = StringIO()
+    writer = csv.writer(expected)
+    writer.writerow(["center", "R", "r", "count", "exponent"])
+    writer.writerows([c, canonical_json_oracle(R), canonical_json_oracle(r), n,
+                      canonical_json_oracle(e)] for c, R, r, n, e in report.table)
+    return expected.getvalue().encode()
 
 
 class _Recorder:
@@ -370,13 +395,22 @@ class TestStreamedWriter:
                              dtype=np.float64).reshape(rows, 1)
         report = EstimateReport(0.0, None, [(0.5, 0.125)], counts, exponents,
                                 ScaleWindow(0.125, 0.5), "exact")
-        expected = StringIO()
-        writer = csv.writer(expected)
-        writer.writerow(["center", "R", "r", "count", "exponent"])
-        writer.writerows([c, canonical_json_oracle(R), canonical_json_oracle(r), n,
-                          canonical_json_oracle(e)] for c, R, r, n, e in report.table)
         io.write_report_csv(report, tmp_path / "rep.csv")
-        assert (tmp_path / "rep.csv").read_bytes() == expected.getvalue().encode()
+        assert (tmp_path / "rep.csv").read_bytes() == _row_writer_csv(report)
+
+    # no centers, an empty window, rows of 4 and 3 values around a block of 3, one value
+    @pytest.mark.parametrize("centers, pairs", [(0, 4), (5, 0), (7, 4), (4, 3), (2, 1)])
+    def test_csv_of_every_table_shape(self, tmp_path, centers, pairs):
+        pairs = [(0.5, 0.5 / 2 ** (2 + p)) for p in range(pairs)]
+        counts = np.arange(centers * len(pairs)).reshape(centers, len(pairs)) + 1
+        exponents = counts / 3
+        report = EstimateReport(0.0, None, pairs, counts, exponents,
+                                ScaleWindow(0.125, 0.5), "exact")
+        io.write_report_csv(report, tmp_path / "rep.csv")
+        assert (tmp_path / "rep.csv").read_bytes() == _row_writer_csv(report)
+        text = io.dumps_canonical(report.to_dict(), indent=2)
+        plain = [dict(zip(("center", "R", "r", "count", "exponent"), row)) for row in report.table]
+        assert json.loads(text)["table"] == plain
 
 
 def test_streamed_table_peaks_below_a_quarter_of_its_text():
@@ -405,6 +439,23 @@ def test_streamed_table_peaks_below_a_quarter_of_its_text():
         tracemalloc.stop()
     assert sink.length > 10_000_000
     assert peak < sink.length / 4
+
+
+def test_report_table_columns_are_not_built():
+    # the estimate-1d table: 4,098 centers at 10 scale pairs, 40,980 rows
+    centers, pairs = 4098, [(2.0 ** -k, 2.0 ** -(k + j)) for k in (1, 2) for j in range(2, 7)]
+    counts = np.arange(centers * len(pairs)).reshape(centers, len(pairs)) % 37 + 1
+    report = EstimateReport(0.0, None, pairs, counts, np.log(counts),
+                            ScaleWindow(2.0 ** -7, 0.5), "exact")
+    tracemalloc.start()
+    try:
+        table = report.to_dict()["table"]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one flat copy of an (n, P) column would take 328 KB
+    assert peak < 100_000
+    assert table.rows == centers * len(pairs)
 
 
 def test_written_cloud_peaks_below_a_quarter_of_its_file(tmp_path):
@@ -581,11 +632,7 @@ class TestReportFiles:
     def test_csv_bytes_match_the_row_writer(self, tmp_path, monkeypatch, window):
         # the csv.writer row loop over the table that the column join replaced
         report = lower_dim_estimate(cantor_cloud(5), window)
-        expected = StringIO()
-        writer = csv.writer(expected)
-        writer.writerow(["center", "R", "r", "count", "exponent"])
-        writer.writerows([c, canonical_json_oracle(R), canonical_json_oracle(r), n,
-                          canonical_json_oracle(e)] for c, R, r, n, e in report.table)
+        expected = _row_writer_csv(report)
         monkeypatch.setattr(EstimateReport, "table", property(lambda rep: pytest.fail("read")))
         io.write_report_csv(report, tmp_path / "rep.csv")
-        assert (tmp_path / "rep.csv").read_bytes() == expected.getvalue().encode()
+        assert (tmp_path / "rep.csv").read_bytes() == expected
