@@ -21,11 +21,11 @@ _HOME = {name: module for module, names in {
     "generators": ("GeneratorSpec", "cantor_cloud", "dyadic_interval_cloud",
                    "interval_plus_point_cloud", "polarized_example_cloud",
                    "polarized_natural_family", "union_cloud", "neighborhood_cascade"),
-    "lowerdim": ("ScaleWindow", "EstimateReport", "BoundResult", "lower_dim_estimate",
-                 "dimension_bound", "mod_lower_dim_bound"),
+    "lowerdim": ("ScaleWindow", "EstimateReport", "lower_dim_estimate"),
     "regular": ("RegularFamily", "RegularityReport", "SearchResult", "Violation",
                 "verify_regular", "search_regular", "choose_parameters", "level_points",
-                "certificate_scaling_check"),
+                "certificate_scaling_check", "BoundResult", "dimension_bound",
+                "mod_lower_dim_bound"),
     "trees": ("FiniteTree", "embed_tree", "branch_family", "max_regular_depth"),
 }.items() for name in names}
 

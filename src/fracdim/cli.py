@@ -17,9 +17,10 @@ from . import __version__, io
 from .cloud import METRICS
 from .config import RunConfig
 from .generators import _ONE_PARAMETER, GeneratorSpec
-from .lowerdim import ScaleWindow, dimension_bound, lower_dim_estimate
-from .regular import certificate_scaling_check, search_regular, verify_regular
-from .trees import embed_tree, max_regular_depth
+from .lowerdim import ScaleWindow, lower_dim_estimate
+from .regular import (RegularFamily, certificate_scaling_check, dimension_bound, search_regular,
+                      verify_regular)
+from .trees import FiniteTree, embed_tree, max_regular_depth
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -108,8 +109,7 @@ def _cmd_generate(args, cfg: RunConfig) -> int:
     if args.kind == "from-spec":
         if args.spec is None:
             raise _UsageError("from-spec requires --spec")
-        with open(args.spec, "r", encoding="utf-8") as fh:
-            spec = GeneratorSpec.from_dict(json.load(fh))
+        spec = GeneratorSpec.from_dict(io.read_json(args.spec))
     else:
         spec = GeneratorSpec(args.kind, level=args.level, resolution=args.resolution,
                              depth=args.depth)
@@ -125,9 +125,10 @@ def _cmd_estimate(args, cfg: RunConfig) -> int:
     window = ScaleWindow(args.r_min, args.r_max, args.ratio, args.min_gap)
     report = lower_dim_estimate(cloud, window, mode=args.mode, tol=cfg.tol,
                                 exact_cutoff=cfg.exact_cutoff)
+    payload = report.to_dict()
     if args.csv:
-        io.write_report_csv(report, args.csv)
-    _emit(report.to_dict())
+        io.write_csv(payload["table"], args.csv)
+    _emit(payload)
     return EXIT_OK
 
 
@@ -140,7 +141,7 @@ def _cmd_certify(args, cfg: RunConfig) -> int:
                "reason": "budget exhausted" if res.exhausted else "absent",
                "expansions": res.expansions})
         return EXIT_NOT_FOUND
-    io.write_certificate(res.family, args.out)
+    io.write_json(res.family.to_dict(), args.out)
     _emit({"found": True, "k": args.k, "l": args.l, "depth": args.depth,
            "strong": args.strong, "bound": dimension_bound(args.k, args.l),
            "expansions": res.expansions, "out": args.out})
@@ -149,7 +150,7 @@ def _cmd_certify(args, cfg: RunConfig) -> int:
 
 def _cmd_verify(args, cfg: RunConfig) -> int:
     cloud = io.read_cloud(args.cloud, metric=args.metric, tol=cfg.tol)
-    family = io.read_certificate(args.certificate)
+    family = RegularFamily.from_dict(io.read_json(args.certificate))
     report = verify_regular(cloud, family, tol=cfg.tol)
     payload = report.to_dict()
     payload["bound"] = dimension_bound(family.k, family.l) if report.ok else None
@@ -161,7 +162,7 @@ def _cmd_verify(args, cfg: RunConfig) -> int:
 
 
 def _cmd_embed(args, cfg: RunConfig) -> int:
-    tree = io.read_tree(args.tree)
+    tree = FiniteTree.from_json(io.read_json(args.tree))
     cloud = embed_tree(tree)
     io.write_cloud(cloud, args.out)
     payload = {"nodes": len(tree), "points": cloud.n, "out": args.out}

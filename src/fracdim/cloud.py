@@ -302,7 +302,7 @@ def diameter(cloud: PointCloud, subset: Optional[Subset] = None) -> float:
 def closed_ball(cloud: PointCloud, center: int, radius: float,
                 tol: float = DEFAULT_TOL) -> Subset:
     """Indices within ``radius`` (inclusive, + tol) of ``center``; always contains it."""
-    if radius < 0:
+    if not radius >= 0:   # NaN too
         raise ValueError("radius must be nonnegative")
     cloud._check_index(center)
     return Subset(cloud, np.sort(_ball(cloud, center, radius, tol)))

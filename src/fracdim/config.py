@@ -5,6 +5,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, replace
+from typing import Tuple
 
 # Absolute tolerance applied on the permissive side of every inequality
 # (ball membership, part diameters, separation bounds).  Generators emit
@@ -30,6 +31,24 @@ _JSON_CHECKS = {
     "a list": lambda v: isinstance(v, list),
     "a list of two": lambda v: isinstance(v, list) and len(v) == 2,
 }
+
+
+Label = Tuple[int, ...]   # of a regular family: a sequence over {0..l-1}
+
+
+def label_str(label: Label) -> str:
+    return ".".join(str(c) for c in label)
+
+
+def parse_label(text: str) -> Label:
+    """The label written as ``text``, which must be :func:`label_str`'s form."""
+    try:
+        label = () if text == "" else tuple(int(p) for p in text.split("."))
+    except ValueError:
+        label = None
+    if label is None or label_str(label) != text:
+        raise ValueError(f"invalid certificate label {text!r}")
+    return label
 
 
 def _height(column) -> int:

@@ -8,13 +8,15 @@ the documented exception and rely on the global tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
 
 from .cloud import PointCloud, Subset
-from .config import DEFAULT_TOL, _checked_object
-from .regular import RegularFamily, label_str, parse_label
+from .config import DEFAULT_TOL, _checked_object, label_str, parse_label
+
+if TYPE_CHECKING:
+    from .regular import RegularFamily
 
 
 def cantor_cloud(level: int) -> PointCloud:
@@ -78,6 +80,7 @@ def polarized_example_cloud(depth: int) -> PointCloud:
 
 def polarized_natural_family(depth: int) -> Tuple[PointCloud, RegularFamily]:
     """The cloud together with its natural (2, 2) labeling as a family."""
+    from .regular import RegularFamily   # the one generator that returns a certificate
     cloud = polarized_example_cloud(depth)
     assign = {parse_label(text): idx for text, idx in cloud.meta["labels"].items()}
     return cloud, RegularFamily(2, 2, depth, False, assign)

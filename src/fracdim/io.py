@@ -1,10 +1,14 @@
 """File formats and canonical serialization.
 
+This module imports only ``cloud`` and ``config``.  A report or certificate is
+written as ``write_json(obj.to_dict(), path)`` and a tree as its ``nodes``; a certificate
+or tree is read by its type's ``from_dict`` or ``from_json`` from :func:`read_json`.
+
 All JSON written by this package goes through one encoder, which preserves
 key order and renders every float in one canonical form: integer-valued
 floats below 1e16 as ``x.0``, all others with 17 significant digits,
 non-finite values rejected.  Identical runs therefore produce byte-identical
-artifacts.  The ``estimate --csv`` table uses the same float text.
+artifacts.  The ``estimate --csv`` table (:func:`write_csv`) uses the same float text.
 
 Each value takes one ``isinstance`` dispatch, and a scalar float is
 formatted where it stands, with no cache.  A :class:`fracdim.config.Records`
@@ -39,9 +43,6 @@ import numpy as np
 
 from .cloud import PointCloud
 from .config import _JSON_CHECKS, DEFAULT_TOL, Records, _checked_object
-from .lowerdim import EstimateReport
-from .regular import RegularFamily
-from .trees import FiniteTree
 
 # rows of a Records joined into one string at a time, or values of a 2-D array or of a
 # Records' array column formatted at a time (whole rows, at least one)
@@ -223,6 +224,23 @@ def write_json(obj, path: str) -> None:
         fh.write("\n")
 
 
+def read_json(path: str):
+    """The JSON value in the file at ``path``: the one place a JSON file is opened."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def write_csv(table: Records, path: str) -> None:
+    """``table`` as CSV in the canonical float text, checked before the file is opened."""
+    encoder = _Encoder(0)
+    # numbers need no quoting; rows end in \r\n, as csv.writer ends them
+    cells = [x for column in table.columns for x in (encoder.column(column, 0), repeat(","))]
+    cells[-1] = repeat("\r\n")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(table.keys) + "\r\n")
+        fh.writelines(_blocks(cells))
+
+
 # ---------------------------------------------------------------- clouds
 
 def cloud_to_dict(cloud: PointCloud) -> dict:
@@ -268,8 +286,7 @@ def read_cloud(path: str, metric: Optional[str] = None, tol: float = DEFAULT_TOL
     ``tol``) or from CSV (one coordinate point per row, under ``metric``, default euclidean)."""
     if str(path).lower().endswith(".csv"):
         return read_cloud_csv(path, metric=metric or "euclidean")
-    with open(path, "r", encoding="utf-8") as fh:
-        cloud = cloud_from_dict(json.load(fh), tol)
+    cloud = cloud_from_dict(read_json(path), tol)
     if metric is not None and metric != cloud.metric:
         raise ValueError(f"the cloud file's metric is {cloud.metric!r}, not the given {metric!r}")
     return cloud
@@ -293,44 +310,3 @@ def read_cloud_csv(path: str, metric: str = "euclidean") -> PointCloud:
                                  f" has {','.join(row)!r}")
             rows.append(values)
     return PointCloud(rows, metric=metric)
-
-
-# ------------------------------------------------------------ certificates
-
-def write_certificate(family: RegularFamily, path: str) -> None:
-    write_json(family.to_dict(), path)
-
-
-def read_certificate(path: str) -> RegularFamily:
-    with open(path, "r", encoding="utf-8") as fh:
-        return RegularFamily.from_dict(json.load(fh))
-
-
-# ------------------------------------------------------------------ trees
-
-def write_tree(tree: FiniteTree, path: str) -> None:
-    write_json([list(u) for u in tree.nodes], path)
-
-
-def read_tree(path: str) -> FiniteTree:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not (isinstance(data, list) and all(isinstance(node, list) for node in data)):
-        raise ValueError("tree file must hold a JSON list of integer arrays")
-    return FiniteTree(data)
-
-
-# ---------------------------------------------------------------- reports
-
-def write_report(report: EstimateReport, path: str) -> None:
-    write_json(report.to_dict(), path)
-
-
-def write_report_csv(report: EstimateReport, path: str) -> None:
-    table, encoder = report.to_dict()["table"], _Encoder(0)
-    # numbers need no quoting; rows end in \r\n, as csv.writer ends them
-    cells = [x for column in table.columns for x in (encoder.column(column, 0), repeat(","))]
-    cells[-1] = repeat("\r\n")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(table.keys) + "\r\n")
-        fh.writelines(_blocks(cells))

@@ -1,4 +1,4 @@
-"""Scale-window estimates of the lower dimension and certified lower bounds.
+"""Scale-window estimates of the lower dimension.
 
 The estimator replaces the supremum over the constant C by fixing C = 1 and
 requiring a minimum scale gap R/r; the reported value is then a plain
@@ -18,19 +18,19 @@ points.  Exact mode hands this module's ``count`` the relation at r and
 the ball B(x, R) as a mask, one ball at a time in table order, and
 ``count`` is the exact cover solver within that mask.  The table stays in
 columns, as (centers x pairs) arrays, up to the output text.
+The certified bounds of regular families are in :mod:`fracdim.regular`.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .cloud import PointCloud
-from .config import DEFAULT_BUDGET, DEFAULT_EXACT_CUTOFF, DEFAULT_TOL, Records
+from .config import DEFAULT_EXACT_CUTOFF, DEFAULT_TOL, Records
 from .covering import _ball_counts, _min_clique_cover, _refuse_above_cutoff
-from .regular import RegularFamily, SearchResult, search_regular
 
 SEMANTICS_NOTE = "scale-window estimate on a finite sample, not a limit quantity"
 
@@ -166,55 +166,3 @@ def lower_dim_estimate(cloud: PointCloud, window: ScaleWindow, mode: str = "exac
     center, p = divmod(int(np.argmin(exponents)), len(pairs))   # row-major: the first minimum
     return EstimateReport(float(exponents[center, p]), (center, *pairs[p]), pairs, counts,
                           exponents, window, mode)
-
-
-def dimension_bound(k: int, l: int) -> float:
-    """The certified dimension lower bound log(l) / (k log 2) for a (k, l) family."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if l < 2:
-        raise ValueError("l must be at least 2")
-    return math.log2(l) / k
-
-
-@dataclass
-class BoundResult:
-    """Certified lower bound from regular-family search over parameter choices.
-
-    ``bound`` is a finite-depth certificate value, not an estimate of the
-    true supremum; ``outcomes`` records every (k, l) search so budget
-    exhaustion is visible in the result rather than raised as an error.
-    """
-
-    bound: float
-    family: Optional[RegularFamily]
-    outcomes: List[Tuple[int, int, SearchResult]] = field(default_factory=list)
-
-    @property
-    def exhausted(self) -> bool:
-        return any(res.exhausted for (_, _, res) in self.outcomes)
-
-
-def mod_lower_dim_bound(cloud: PointCloud, params: Sequence[Tuple[int, int]],
-                        depth: int, budget: int = DEFAULT_BUDGET,
-                        strong: bool = False,
-                        tol: float = DEFAULT_TOL) -> BoundResult:
-    """Best certified bound among (k, l) searches at the given depth.
-
-    Finite clouds are complete, so plain (non-strong) families certify the
-    bound; pass ``strong=True`` to insist on the stronger certificate shape.
-    """
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
-    best_bound = 0.0
-    best_family = None
-    outcomes = []
-    for (k, l) in params:
-        res = search_regular(cloud, k, l, depth, strong=strong, budget=budget, tol=tol)
-        outcomes.append((k, l, res))
-        if res.family is not None:
-            b = dimension_bound(k, l)
-            if b > best_bound:
-                best_bound = b
-                best_family = res.family
-    return BoundResult(best_bound, best_family, outcomes)

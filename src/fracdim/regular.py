@@ -18,24 +18,23 @@ node's decision per (point, level, remaining-depth), None or its chosen
 children, and is exhaustive whenever the node-expansion budget is not hit.
 A found family is read off the memo from its root and then re-verified.  Off
 1-D clouds the search reads each point's distances once, into bitset rows.
+A found (k, l) family certifies the bound log2(l) / k (:func:`dimension_bound`).
 """
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import cloud as _cloud
 from .cloud import PointCloud, Subset, _ball, _upper
-from .config import (_JSON_CHECKS, DEFAULT_BUDGET, DEFAULT_EXACT_CUTOFF, DEFAULT_TOL,
-                     _checked_object)
+from .config import (_JSON_CHECKS, DEFAULT_BUDGET, DEFAULT_EXACT_CUTOFF, DEFAULT_TOL, Label,
+                     _checked_object, label_str, parse_label)
 from .covering import (_ball_counts, _greedy_cover_parts, _min_clique_cover, _packed_ints,
                        _separated_lower_bound, _sweep_pack, _unpacked_bits)
-
-Label = Tuple[int, ...]
 
 
 def child_radius(k: int, level: int) -> float:
@@ -46,21 +45,6 @@ def child_radius(k: int, level: int) -> float:
 def level_separation(k: int, level: int) -> float:
     """Min distance between distinct labels at ``level``."""
     return 2.0 ** (-k * level + 2)
-
-
-def label_str(label: Label) -> str:
-    return ".".join(str(c) for c in label)
-
-
-def parse_label(text: str) -> Label:
-    """The label written as ``text``, which must be :func:`label_str`'s form."""
-    try:
-        label = () if text == "" else tuple(int(p) for p in text.split("."))
-    except ValueError:
-        label = None
-    if label is None or label_str(label) != text:
-        raise ValueError(f"invalid certificate label {text!r}")
-    return label
 
 
 @dataclass
@@ -397,6 +381,58 @@ def choose_parameters(C: float, beta: float, alpha: float) -> Tuple[int, int]:
         if l >= 2 and math.log2(l) / k > alpha:
             return k, l
         k += 1
+
+
+def dimension_bound(k: int, l: int) -> float:
+    """The certified dimension lower bound log(l) / (k log 2) for a (k, l) family."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    if l < 2:
+        raise ValueError("l must be at least 2")
+    return math.log2(l) / k
+
+
+@dataclass
+class BoundResult:
+    """Certified lower bound from regular-family search over parameter choices.
+
+    ``bound`` is a finite-depth certificate value, not an estimate of the
+    true supremum; ``outcomes`` records every (k, l) search so budget
+    exhaustion is visible in the result rather than raised as an error.
+    """
+
+    bound: float
+    family: Optional[RegularFamily]
+    outcomes: List[Tuple[int, int, SearchResult]] = field(default_factory=list)
+
+    @property
+    def exhausted(self) -> bool:
+        return any(res.exhausted for (_, _, res) in self.outcomes)
+
+
+def mod_lower_dim_bound(cloud: PointCloud, params: Sequence[Tuple[int, int]],
+                        depth: int, budget: int = DEFAULT_BUDGET,
+                        strong: bool = False,
+                        tol: float = DEFAULT_TOL) -> BoundResult:
+    """Best certified bound among (k, l) searches at the given depth.
+
+    Finite clouds are complete, so plain (non-strong) families certify the
+    bound; pass ``strong=True`` to insist on the stronger certificate shape.
+    """
+    if depth < 1:
+        raise ValueError("depth must be at least 1")
+    best_bound = 0.0
+    best_family = None
+    outcomes = []
+    for (k, l) in params:
+        res = search_regular(cloud, k, l, depth, strong=strong, budget=budget, tol=tol)
+        outcomes.append((k, l, res))
+        if res.family is not None:
+            b = dimension_bound(k, l)
+            if b > best_bound:
+                best_bound = b
+                best_family = res.family
+    return BoundResult(best_bound, best_family, outcomes)
 
 
 def level_points(family: RegularFamily, n: int, cloud: PointCloud) -> Subset:

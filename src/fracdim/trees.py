@@ -16,10 +16,14 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .cloud import PointCloud
-from .config import DEFAULT_BUDGET, DEFAULT_TOL
-from .regular import RegularFamily, SearchResult, _Search, label_str, search_regular
+from .config import DEFAULT_BUDGET, DEFAULT_TOL, label_str
+from .regular import RegularFamily, SearchResult, _Search, search_regular
 
 Node = Tuple[int, ...]
+
+# float64 values an embedding may hold (1 GiB), as a branch doubles the points at each
+# level.  Chosen from memory, not measured; full_tree(8, 2), 87,381 x 1,022, fits.
+_EMBED_CAP = 2 ** 27
 
 
 class FiniteTree:
@@ -44,6 +48,13 @@ class FiniteTree:
                     raise ValueError(f"tree is not prefix-closed: missing {node[:cut]}")
         self.nodes: Tuple[Node, ...] = tuple(sorted(seen, key=lambda u: (len(u), u)))
         self._members = frozenset(seen)
+
+    @classmethod
+    def from_json(cls, data) -> "FiniteTree":
+        """The tree a tree file's JSON value describes: a list of integer arrays."""
+        if not (isinstance(data, list) and all(isinstance(node, list) for node in data)):
+            raise ValueError("tree file must hold a JSON list of integer arrays")
+        return cls(data)
 
     @classmethod
     def single_branch(cls, length: int, label: int = 0) -> "FiniteTree":
@@ -75,9 +86,14 @@ def embed_tree(tree: FiniteTree) -> PointCloud:
     one zero row; every later node's block repeats each row of its parent's
     block twice and writes 2^(1 - 2 len(u)) at column 2i on the even rows
     and at column 2i + 1 on the odd rows.  The blocks are stacked in node
-    order.  A one-node tree gets a single column.
+    order.  A one-node tree gets a single column.  An embedding of more than
+    ``_EMBED_CAP`` values is refused before it is built.
     """
     dim = 2 * len(tree) if len(tree) > 1 else 1
+    points = sum(2 ** len(node) for node in tree.nodes)
+    if points * dim > _EMBED_CAP:
+        raise ValueError(f"the embedding would hold {points} points x {dim} columns,"
+                         f" above the budget of {_EMBED_CAP} values")
     blocks = {(): np.zeros((1, dim))}
     for i, node in enumerate(tree.nodes[1:], start=1):
         rows = np.repeat(blocks[node[:-1]], 2, axis=0)

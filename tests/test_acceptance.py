@@ -151,7 +151,7 @@ def test_criterion_4_dim_gap(certify_artifacts):
     rep = fd.lower_dim_estimate(cloud, window, mode="exact")
     assert rep.alpha_hat <= 0.05
     assert certify_artifacts["exit"] == 0
-    fam = io.read_certificate(certify_artifacts["cert_path"])
+    fam = fd.RegularFamily.from_dict(io.read_json(certify_artifacts["cert_path"]))
     assert fd.verify_regular(cloud, fam).ok
     assert fd.dimension_bound(fam.k, fam.l) == 2 / 3  # exact, not approximate
     report(4, 120, started,
@@ -195,7 +195,7 @@ def test_criterion_6_parameter_law():
 def test_criterion_7_scaling_inequality(certify_artifacts, stability_results):
     started = time.time()
     cloud4 = fd.interval_plus_point_cloud(12)
-    fam4 = io.read_certificate(certify_artifacts["cert_path"])
+    fam4 = fd.RegularFamily.from_dict(io.read_json(certify_artifacts["cert_path"]))
     checked = 0
     assert fd.certificate_scaling_check(cloud4, fam4, exact_cutoff=64)
     checked += 1

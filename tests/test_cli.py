@@ -275,6 +275,17 @@ class TestEmbed:
                                "--out", str(tmp_path / "e.json"))
         assert code == 2
 
+    def test_deep_branch_is_a_validation_error(self, tmp_path):
+        # refused before numpy is asked for the array: exit 2, one line, no traceback
+        tree_path = tmp_path / "t.json"
+        tree_path.write_text(json.dumps([[0] * i for i in range(41)]))
+        out_path = tmp_path / "e.json"
+        proc = _run_module("embed", str(tree_path), "--out", str(out_path), timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("validation error: the embedding would hold")
+        assert "Traceback" not in proc.stderr and proc.stdout == ""
+        assert not out_path.exists()
+
 
 class TestInfoAndConfig:
     def test_info_cloud(self, capsys, tmp_path):

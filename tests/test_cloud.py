@@ -78,8 +78,11 @@ class TestClosedBall:
                 assert diameter(grid11, ball) <= 2 * radius + TOL
 
     def test_negative_radius(self, grid11):
-        with pytest.raises(ValueError):
-            closed_ball(grid11, 0, -0.1)
+        # NaN compares false both ways: it is refused, not an empty ball
+        for cloud in (grid11, PointCloud([[0.0, 0.0], [1.0, 0.5]])):
+            for radius in (-0.1, float("nan")):
+                with pytest.raises(ValueError, match="radius must be nonnegative"):
+                    closed_ball(cloud, 0, radius)
 
 
 def _ball_clouds():

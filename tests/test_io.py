@@ -395,7 +395,7 @@ class TestStreamedWriter:
                              dtype=np.float64).reshape(rows, 1)
         report = EstimateReport(0.0, None, [(0.5, 0.125)], counts, exponents,
                                 ScaleWindow(0.125, 0.5), "exact")
-        io.write_report_csv(report, tmp_path / "rep.csv")
+        io.write_csv(report.to_dict()["table"], tmp_path / "rep.csv")
         assert (tmp_path / "rep.csv").read_bytes() == _row_writer_csv(report)
 
     # no centers, an empty window, rows of 4 and 3 values around a block of 3, one value
@@ -406,7 +406,7 @@ class TestStreamedWriter:
         exponents = counts / 3
         report = EstimateReport(0.0, None, pairs, counts, exponents,
                                 ScaleWindow(0.125, 0.5), "exact")
-        io.write_report_csv(report, tmp_path / "rep.csv")
+        io.write_csv(report.to_dict()["table"], tmp_path / "rep.csv")
         assert (tmp_path / "rep.csv").read_bytes() == _row_writer_csv(report)
         text = io.dumps_canonical(report.to_dict(), indent=2)
         plain = [dict(zip(("center", "R", "r", "count", "exponent"), row)) for row in report.table]
@@ -501,7 +501,7 @@ class TestFailedEncodeWritesNothing:
         path = tmp_path / "kept.csv"
         path.write_text("kept")
         with pytest.raises(ValueError):
-            io.write_report_csv(report, path)
+            io.write_csv(report.to_dict()["table"], path)
         assert path.read_text() == "kept"
 
 
@@ -574,12 +574,12 @@ class TestCertificateFiles:
         cloud = dyadic_interval_cloud(9)
         fam = search_regular(cloud, 4, 2, 2, strong=True).family
         path = tmp_path / "cert.json"
-        io.write_certificate(fam, path)
-        again = io.read_certificate(path)
+        io.write_json(fam.to_dict(), path)
+        again = RegularFamily.from_dict(io.read_json(path))
         assert again.assign == fam.assign
         assert (again.k, again.l, again.depth, again.strong) == (4, 2, 2, True)
         path2 = tmp_path / "cert2.json"
-        io.write_certificate(again, path2)
+        io.write_json(again.to_dict(), path2)
         assert path.read_bytes() == path2.read_bytes()
 
     def test_label_keys_dot_separated(self, tmp_path):
@@ -595,30 +595,30 @@ class TestTreeFiles:
     def test_roundtrip(self, tmp_path):
         tree = FiniteTree.full_tree(2, 2)
         path = tmp_path / "t.json"
-        io.write_tree(tree, path)
-        again = io.read_tree(path)
+        io.write_json(tree.nodes, path)
+        again = FiniteTree.from_json(io.read_json(path))
         assert again.nodes == tree.nodes
 
     def test_validation_on_load(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("[[0, 1]]")
-        with pytest.raises(ValueError):
-            io.read_tree(path)
+        with pytest.raises(ValueError, match="empty sequence"):
+            FiniteTree.from_json(io.read_json(path))
         path.write_text('{"nope": 1}')
-        with pytest.raises(ValueError):
-            io.read_tree(path)
+        with pytest.raises(ValueError, match="tree file must hold a JSON list of integer arrays"):
+            FiniteTree.from_json(io.read_json(path))
 
 
 class TestReportFiles:
     def test_json_and_csv(self, tmp_path):
         cloud = dyadic_interval_cloud(4)
         report = lower_dim_estimate(cloud, ScaleWindow(2.0 ** -3, 2.0 ** -1))
-        io.write_report(report, tmp_path / "rep.json")
+        io.write_json(report.to_dict(), tmp_path / "rep.json")
         data = json.loads((tmp_path / "rep.json").read_text())
         assert data["alpha_hat"] == report.alpha_hat
         assert data["window"]["min_gap"] == 4.0
         assert "semantics" in data
-        io.write_report_csv(report, tmp_path / "rep.csv")
+        io.write_csv(report.to_dict()["table"], tmp_path / "rep.csv")
         lines = (tmp_path / "rep.csv").read_text().strip().splitlines()
         assert lines[0] == "center,R,r,count,exponent"
         assert len(lines) == len(report.table) + 1
@@ -634,5 +634,5 @@ class TestReportFiles:
         report = lower_dim_estimate(cantor_cloud(5), window)
         expected = _row_writer_csv(report)
         monkeypatch.setattr(EstimateReport, "table", property(lambda rep: pytest.fail("read")))
-        io.write_report_csv(report, tmp_path / "rep.csv")
+        io.write_csv(report.to_dict()["table"], tmp_path / "rep.csv")
         assert (tmp_path / "rep.csv").read_bytes() == expected

@@ -32,6 +32,25 @@ def test_import_loads_no_submodule_and_leaves_environ():
     assert environ_kept and environ_kept_by_cli
 
 
+@pytest.mark.parametrize("module, absent", [
+    ("io", ("covering", "lowerdim", "regular", "trees", "generators")),
+    ("lowerdim", ("regular", "trees")),
+    ("generators", ("regular", "trees")),
+    ("cli", ()),
+])
+def test_imports_run_one_way(module, absent):
+    # a fresh interpreter, which has loaded no fracdim module yet
+    script = (f"import json, sys, fracdim.{module}\n"
+              "print(json.dumps([m for m in sys.modules if m.startswith('fracdim.')]))")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = {name.partition(".")[2] for name in json.loads(proc.stdout)}
+    assert not loaded & set(absent)
+    if module == "cli":   # the command line loads every module
+        assert loaded == {*fracdim._HOME.values(), "io", "cli"}
+
+
 @pytest.mark.parametrize("name", [n for n in fracdim.__all__ if n != "__version__"])
 def test_public_name_is_its_home_module_object(name):
     home = importlib.import_module(f"fracdim.{fracdim._HOME[name]}")

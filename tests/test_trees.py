@@ -171,6 +171,19 @@ class TestEmbedTree:
         assert cloud.n == 1 + 3 * 2 + 9 * 4
         assert cloud.min_positive_gap() > 0
 
+    def test_deep_branch_is_refused_before_it_is_built(self):
+        # under 1 KB of tree file, but 2^41 - 1 points of 82 columns
+        with pytest.raises(ValueError, match="2199023255551 points x 82 columns"):
+            embed_tree(FiniteTree([[0] * i for i in range(41)]))
+
+    def test_budget_admits_its_own_size(self, monkeypatch):
+        tree = FiniteTree.full_tree(1, 2)   # 5 points x 6 columns
+        monkeypatch.setattr(trees_module, "_EMBED_CAP", 30)
+        assert embed_tree(tree).n == 5
+        monkeypatch.setattr(trees_module, "_EMBED_CAP", 29)
+        with pytest.raises(ValueError, match="budget of 29 values"):
+            embed_tree(tree)
+
     def test_separation_law_exhaustive(self):
         # points from nodes first disagreeing at position k sit >= 2^-2k apart
         tree = FiniteTree([(), (0,), (1,), (0, 0), (0, 1), (1, 0), (0, 0, 0)])
